@@ -331,6 +331,68 @@ func TestVersionedMapConcurrent(t *testing.T) {
 	drainMap(t, m)
 }
 
+// TestVersionedMapSharedHandlesReclaimBounded is the embedded-read shape
+// of the repository benchmark at test scale: two handles share one
+// versioned map over a lease pool and take turns running windows of 16
+// ops, 90/10 GET/PUT of 64 B values on a small hot key set, with no
+// Flush. Half the overwrites drop a version biased to the other handle's
+// pid, so their final units retire through merges; if those retires go
+// unpaid, ejected-but-unreturned work piles up and every dead version
+// pins its node and value slab. Both gauges must stay within a fixed
+// bound for the whole run, and teardown must reclaim everything.
+func TestVersionedMapSharedHandlesReclaimBounded(t *testing.T) {
+	const (
+		keys   = 64
+		ops    = 200_000
+		window = 16
+		// 4x the two pids' acquire-retire scan thresholds (2K+64 each,
+		// K = 2 pids x 8 announcement slots).
+		bound = 768
+	)
+	p := snaplease.NewPool(snaplease.DefaultLeases)
+	m := NewVersionedMap(keys, 4, p)
+	hs := [2]*MapHandle{m.Attach(), m.Attach()}
+	rng := rand.New(rand.NewSource(1))
+	vbuf := make([]byte, 64)
+	var dst []byte
+	for k := uint64(0); k < keys; k++ {
+		binary.LittleEndian.PutUint64(vbuf, k)
+		if _, _, err := hs[0].Put(k, vbuf, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < ops; i++ {
+		h := hs[i/window%2]
+		k := uint64(rng.Intn(keys))
+		if rng.Intn(10) == 0 {
+			binary.LittleEndian.PutUint64(vbuf, k)
+			var err error
+			if dst, _, err = h.Put(k, vbuf, dst[:0]); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+		} else {
+			var ok bool
+			if dst, ok = h.Get(k, dst[:0]); !ok || bu64(dst) != k {
+				t.Fatalf("Get(%d) = %d,%v", k, bu64(dst), ok)
+			}
+		}
+		if i%1000 == 0 {
+			if u := m.Unreclaimed(); u > bound {
+				t.Fatalf("op %d: Unreclaimed = %d, bound %d", i, u, bound)
+			}
+			if extra := m.ValueSlabsLive() - keys; extra > bound {
+				t.Fatalf("op %d: %d value slabs live beyond the %d resident keys, bound %d", i, extra, keys, bound)
+			}
+		}
+	}
+	hs[0].Close()
+	hs[1].Close()
+	if p.Active() != 0 {
+		t.Fatalf("Active leases = %d at quiescence, want 0", p.Active())
+	}
+	drainMap(t, m)
+}
+
 // TestVersionedMapLinearizable records concurrent Get/Put/Delete/MGET
 // histories on a versioned map and replays them through the lincheck
 // MapModel: an MGET (every key read at one lease timestamp) must be an

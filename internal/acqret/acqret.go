@@ -681,7 +681,10 @@ func (d *Domain) PendingLocal(procID int) int {
 }
 
 // Deferred returns the total number of retires not yet ejected, including
-// orphans. This is the quantity the paper bounds by O(K*P).
+// orphans. This is the quantity the paper bounds by O(K*P). It excludes
+// handles a scan has already classified safe that no Eject call has
+// returned yet (the free lists; see PendingLocal): those count as
+// ejected here, although their caller has not applied them.
 func (d *Domain) Deferred() int64 { return d.deferred.Load() }
 
 // Stats returns cumulative retire/eject counters.

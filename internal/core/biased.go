@@ -145,21 +145,14 @@ func (ib *mergeInbox) push(h arena.Handle) bool {
 	return true
 }
 
-func (ib *mergeInbox) takeAll() []arena.Handle {
+// take empties the inbox and returns its requests; with close set it
+// also closes the inbox, so later pushes fail.
+func (ib *mergeInbox) take(close bool) []arena.Handle {
 	ib.mu.Lock()
 	out := ib.list
 	ib.list = nil
 	ib.n.Store(0)
-	ib.mu.Unlock()
-	return out
-}
-
-func (ib *mergeInbox) closeAndTake() []arena.Handle {
-	ib.mu.Lock()
-	out := ib.list
-	ib.list = nil
-	ib.n.Store(0)
-	ib.closed = true
+	ib.closed = ib.closed || close
 	ib.mu.Unlock()
 	return out
 }
@@ -348,14 +341,16 @@ func (d *Domain[T]) mergeOwned(rightsPid int, h arena.Handle, t *Thread[T]) {
 				// Retire WITHOUT the paired eject: an eject here applies a
 				// decrement that can queue the next merge, and a chain of
 				// dying objects would recurse one stack frame per object.
-				// The eject debt is repaid by subsequent retireAndEjects
-				// and by drainLocal's fixed point.
+				// The thread's next retireWord pays it (ejectDebt); an
+				// orphan retire is paid by the spare eject of whichever
+				// pid's scan adopts it.
 				if obs.Enabled() {
 					hdr.RetireEra.Store(obs.NowNanos())
 				}
 				if t != nil {
 					obsDecrDeferred.Inc(t.pid)
 					d.ar.Retire(t.pid, uint64(h))
+					t.ejectDebt++
 				} else {
 					obsDecrDeferred.Inc(rightsPid)
 					d.ar.RetireOrphan(rightsPid, uint64(h))
@@ -369,10 +364,10 @@ func (d *Domain[T]) mergeOwned(rightsPid int, h arena.Handle, t *Thread[T]) {
 }
 
 // drainMergeInbox folds every merge request queued for this pid. Called
-// at the owner's merge points: retireAndEject, drainLocal (Flush,
-// Detach), never on the increment/decrement fast paths.
+// at the owner's merge points: retireWord, drainLocal (Flush, Detach),
+// never on the increment/decrement fast paths.
 func (t *Thread[T]) drainMergeInbox() {
-	for _, h := range t.d.inboxes[t.pid].takeAll() {
+	for _, h := range t.d.inboxes[t.pid].take(false) {
 		t.d.mergeOwned(t.pid, h, t)
 	}
 }

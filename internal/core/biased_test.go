@@ -231,6 +231,82 @@ func TestBiasedCrossThreadHammer(t *testing.T) {
 	}
 }
 
+// TestMergeRetireDebtBounded pins the eject accounting of merge retires
+// (retireWord). An owner pid publishes objects biased to it into cells; a
+// second pid loads, clones and releases them and overwrites the cells, so
+// the final drops land cross-pid and queue merges whose folds retire on
+// the owner's list without an inline eject. Nothing flushes. At every
+// sample the deferred work — the unejected retires plus both pids'
+// retired and ejected-but-unreturned lists (Deferred alone misses the
+// latter) — must stay within a fixed multiple of the two pids' scan
+// thresholds; unpaid merge retires grow it linearly with the op count.
+//
+// The shapes differ in who balances whom: "replace" has the second pid
+// publish its own objects (merges flow both ways), "empty" leaves the
+// owner retiring only when it overwrites its own objects, and
+// "owner-rarely-retires" makes the owner a producer that fills empty
+// cells and overwrites one only every 32nd turn, so its merge retires
+// far outnumber its own retires — the per-pid imbalance a flat
+// ejects-per-retire count cannot cover.
+func TestMergeRetireDebtBounded(t *testing.T) {
+	const (
+		cells  = 64
+		ops    = 200_000
+		sample = 1000
+		// Deferred counts the retired lists once more, hence 4x the sum
+		// of the pids' thresholds (2K+64 each, K = 2 pids x 8 slots).
+		bound = 4 * 2 * (2*2*acqret.SlotsPerProc + 64)
+	)
+	for _, shape := range []string{"replace", "empty", "owner-rarely-retires"} {
+		t.Run(shape, func(t *testing.T) {
+			d := newNodeDomain(2)
+			owner, other := d.Attach(), d.Attach()
+			var cs [cells]AtomicRcPtr
+			rng := uint64(1)
+			for i := 0; i < ops; i++ {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				c := &cs[rng>>33%cells]
+				switch {
+				case i%2 == 0 && shape == "owner-rarely-retires" && i%64 != 0:
+					if c.LoadRaw().IsNil() {
+						owner.StoreMove(c, owner.NewRc(func(n *node) { n.Val = int64(i) }))
+					}
+				case i%2 == 0:
+					p := owner.NewRc(func(n *node) { n.Val = int64(i) })
+					owner.Store(c, p) // the cell's unit is owner-local
+					owner.Release(p)
+				default:
+					p := other.Load(c)
+					q := other.Clone(p)
+					other.Release(q)
+					other.Release(p)
+					if shape == "replace" {
+						other.StoreMove(c, other.NewRc(func(n *node) { n.Val = -1 }))
+					} else {
+						other.Store(c, NilRcPtr)
+					}
+				}
+				if i%sample == 0 {
+					pending := d.Deferred() + int64(d.ar.PendingLocal(owner.pid)+d.ar.PendingLocal(other.pid))
+					if pending > bound {
+						t.Fatalf("op %d: %d deferred + pending ejects, bound %d (live %d)", i, pending, bound, d.Live())
+					}
+				}
+			}
+			for i := range cs {
+				owner.Store(&cs[i], NilRcPtr)
+			}
+			drain(owner)
+			drain(other)
+			other.Detach()
+			owner.Detach()
+			if live := d.Live(); live != 0 {
+				t.Fatalf("Live = %d at quiescence", live)
+			}
+		})
+	}
+}
+
 // TestObsBiasedSharedIdentity runs a deterministic workload and checks
 // the counter identities stated in biased.go: every applied count touch
 // is exactly one of biased/shared, every lifetime unbiases exactly once

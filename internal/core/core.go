@@ -228,7 +228,7 @@ func NewDomain[T any](cfg Config[T]) *Domain[T] {
 			if vp := d.cfg.ValueSlabs; vp != nil {
 				vp.Adopt(procID)
 			}
-			for _, h := range d.inboxes[procID].closeAndTake() {
+			for _, h := range d.inboxes[procID].take(true) {
 				d.mergeOwned(procID, h, nil)
 			}
 		}))
@@ -294,6 +294,8 @@ type Thread[T any] struct {
 	nBiased uint64
 	nShared uint64
 	nUnbias uint64
+
+	ejectDebt int // merge retires not yet paired with an eject (retireWord)
 }
 
 // Domain returns the thread's domain.
@@ -319,7 +321,7 @@ func (t *Thread[T]) Detach() {
 	// reservation instead. Objects still biased to this pid — their
 	// units parked in shared cells — are inherited by the id's next
 	// holder or folded lazily through that same path.
-	for _, h := range t.d.inboxes[t.pid].closeAndTake() {
+	for _, h := range t.d.inboxes[t.pid].take(true) {
 		t.d.mergeOwned(t.pid, h, t)
 	}
 	t.drainLocal()
@@ -484,22 +486,41 @@ func (t *Thread[T]) deleteObj(h arena.Handle) {
 	}
 }
 
-// retireAndEject defers one decrement of h and performs the paired eject
-// step (Fig. 3's retire_and_eject), applying at most one now-safe deferred
-// decrement.
+// retireAndEject defers one decrement of h (Fig. 3's retire_and_eject)
+// through retireWord, which pays its ejects.
 func (t *Thread[T]) retireAndEject(h arena.Handle) {
-	// Merge point: fold any queued biased counts before deferring more
-	// work (one atomic load when the inbox is empty, the common case).
+	h = h.Unmarked()
+	obsDecrDeferred.Inc(t.pid)
+	if obs.Enabled() {
+		t.d.pool.Hdr(h).RetireEra.Store(obs.NowNanos())
+	}
+	t.retireWord(uint64(h))
+}
+
+// retireWord is the one retire path for handles and value-slab refs: it
+// folds queued merges (a merge point), retires w, and runs two
+// eject-and-apply steps plus one per merge retire this pid made since its
+// last retire (DESIGN.md §12, eject accounting). The bound: a merge that
+// folds to zero retires without an inline eject (see mergeOwned). Each
+// such retire is caused by a cross-pid sharedDecrement that drove a
+// biased shared count negative, itself an applied ordinary retire, so
+// merge retires ≤ ordinary retires and two ejects per ordinary retire
+// cover all retires: Theorem 1's O(K·P) bound holds with a constant of 2.
+// Per pid the two need not balance (the merge lands on the owner's list,
+// its cause on another pid's); ejectDebt pays that, and the spare eject
+// drains orphans adopted into the list.
+func (t *Thread[T]) retireWord(w uint64) {
+	// One atomic load when the inbox is empty, the common case.
 	if t.d.inboxes[t.pid].n.Load() != 0 {
 		t.drainMergeInbox()
 	}
-	obsDecrDeferred.Inc(t.pid)
-	if obs.Enabled() {
-		t.d.pool.Hdr(h.Unmarked()).RetireEra.Store(obs.NowNanos())
-	}
-	t.d.ar.Retire(t.pid, uint64(h.Unmarked()))
-	if e, ok := t.d.ar.Eject(t.pid); ok {
-		t.applyEjected(e)
+	t.d.ar.Retire(t.pid, w)
+	n := 2 + t.ejectDebt
+	t.ejectDebt = 0
+	for ; n > 0; n-- {
+		if e, ok := t.d.ar.Eject(t.pid); ok {
+			t.applyEjected(e)
+		}
 	}
 }
 
@@ -524,19 +545,14 @@ func (t *Thread[T]) ReleaseValue() {
 // displaced ref must go through the pipeline unconditionally: a reader
 // that announced the word and validated the cell may still be copying
 // slab bytes, and the eject scan honoring its announcement is the only
-// thing keeping the slab from recycling under it. Ref 0 is a no-op.
+// thing keeping the slab from recycling under it. The retire and its
+// ejects go through retireWord. Ref 0 is a no-op.
 func (t *Thread[T]) RetireValue(ref uint64) {
 	if ref == 0 {
 		return
 	}
-	if t.d.inboxes[t.pid].n.Load() != 0 {
-		t.drainMergeInbox()
-	}
 	obsValRetired.Inc(t.pid)
-	t.d.ar.Retire(t.pid, ref)
-	if e, ok := t.d.ar.Eject(t.pid); ok {
-		t.applyEjected(e)
-	}
+	t.retireWord(ref)
 }
 
 // FreeValue immediately returns a value ref's slab to this thread's
@@ -710,18 +726,11 @@ func (t *Thread[T]) StoreMove(a *AtomicRcPtr, v RcPtr) {
 }
 
 // StoreSnapshot atomically replaces the reference in a with a counted copy
-// of the object s protects. The snapshot remains held by the caller.
-func (t *Thread[T]) StoreSnapshot(a *AtomicRcPtr, s Snapshot) {
-	if !s.IsNil() {
-		// Safe: the snapshot's announcement blocks the deferred
-		// decrements that could otherwise race this count to zero.
-		t.increment(s.h.Unmarked())
-	}
-	old := arena.Handle(a.w.Swap(uint64(s.h)))
-	if !old.IsNil() {
-		t.retireAndEject(old)
-	}
-}
+// of the object s protects. The snapshot remains held by the caller. It is
+// Store on the snapshot's word: the increment is safe because the
+// snapshot's announcement blocks the deferred decrements that could
+// otherwise race the count to zero.
+func (t *Thread[T]) StoreSnapshot(a *AtomicRcPtr, s Snapshot) { t.Store(a, s.Ptr()) }
 
 // CompareAndSwap atomically replaces the reference in a with a counted
 // copy of desired if it currently equals expected (including marks). On
@@ -861,18 +870,7 @@ func (t *Thread[T]) RcFromSnapshot(s Snapshot) RcPtr {
 // and/or desired are snapshot-protected words (the atomic_rc_ptr interface
 // allows mixing rc_ptr and snapshot_ptr arguments). Copy semantics: on
 // success the cell gains its own counted reference to desired's object.
+// It is CompareAndSwap on the snapshots' words.
 func (t *Thread[T]) CompareAndSwapFromSnapshots(a *AtomicRcPtr, expected, desired Snapshot) bool {
-	t.d.ar.Announce(t.pid, acquireSlot, uint64(desired.h))
-	if a.w.CompareAndSwap(uint64(expected.h), uint64(desired.h)) {
-		if !desired.IsNil() {
-			t.increment(desired.h.Unmarked())
-		}
-		t.d.ar.Release(t.pid, acquireSlot)
-		if !expected.IsNil() {
-			t.retireAndEject(expected.h)
-		}
-		return true
-	}
-	t.d.ar.Release(t.pid, acquireSlot)
-	return false
+	return t.CompareAndSwap(a, expected.Ptr(), desired.Ptr())
 }

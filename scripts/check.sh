@@ -62,6 +62,16 @@ go test -count 1 -run 'LargeValueSweepZeroAlloc|ValueGCPressureVsControl' ./coll
 go test -count 1 -run 'AllocFreeMagazineHitZeroAlloc|CounterIncZeroAlloc|AllocsPerRunSteadyState|ByteMapAllocsSteadyState|ServerGetZeroAlloc' \
     ./internal/arena ./internal/obs ./internal/vals ./internal/ds/rcds ./internal/server
 
+# Biased reclamation regression pass (DESIGN.md §12, eject accounting):
+# merge retires must be paid by ejects so deferred work and dead values
+# stay bounded with no Flush (core shapes and the shared-handle versioned
+# map), plus the cell-overwrite release discipline and the cross-thread
+# merge hammer. Already in the ./... sweep; repeated here under the race
+# detector to keep the regressions named and re-runnable.
+echo "==> biased reclamation regression pass (race, count 3)"
+go test -race -count 3 -run 'MergeRetireDebtBounded|SharedHandlesReclaimBounded|EagerOverwriteReleaseVsLoadWindow|BiasedCrossThreadHammer' \
+    ./internal/core ./collections
+
 echo "==> chaos soak (10s, seed 1, 2 simulated crashes per configuration)"
 go run ./cmd/cdrc-stress -duration 10s -chaos -chaos-seed 1 -crash-workers 2
 
