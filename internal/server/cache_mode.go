@@ -6,46 +6,13 @@ import (
 	"time"
 
 	"cdrc/collections"
-	"cdrc/internal/chaos"
 )
 
 // Cache mode (DESIGN.md §11): the worker pool and connection front end
-// are shared with map mode; only the per-worker session and the request
-// executor differ. Worker–shard affinity, the crash/abandon/respawn
-// protocol, and the completion accounting are identical — a cache
-// handle's Abandon additionally re-indexes its in-flight eviction
-// records so no weak unit is lost or doubled.
-
-// cacheWorkerSession is workerSession over a collections.CacheHandle.
-func (s *Server) cacheWorkerSession(id, shard int) (respawn bool) {
-	h := s.caches[shard].Attach()
-	var cur *slot
-	defer func() {
-		r := recover()
-		if r == nil {
-			h.Close()
-			return
-		}
-		if _, ok := r.(chaos.CrashSignal); !ok {
-			panic(r)
-		}
-		obsWorkerDead.Inc(id)
-		h.Abandon()
-		if cur != nil {
-			cur.fail(causeCrash)
-			cur.complete(id)
-		}
-		respawn = true
-	}()
-	for sl := range s.queues[shard] {
-		cur = sl
-		chaosWorkerOp.Fire()
-		s.execCache(h, sl)
-		cur = nil
-		sl.complete(id)
-	}
-	return false
-}
+// are shared with map mode; only the shard handle and the request
+// executor differ (cacheExec in server.go). Worker–shard affinity, the
+// crash/abandon/respawn protocol, and the completion accounting are the
+// one worker loop's.
 
 // execCache runs one request against the worker's cache shard. PUT and
 // SETEX absorb arena backpressure inside SetEx (synchronous eviction

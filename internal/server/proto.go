@@ -179,12 +179,11 @@ type slot struct {
 
 	// pending counts outstanding completions (1 for single-shard ops,
 	// one per shard for SCAN); the decrement that reaches zero finishes
-	// the slot. cause is the CAS-once failure cause. done is buffered 1
-	// and signalled exactly once per issue; the connection writer blocks
-	// on it in issue order.
+	// the slot. cause is the CAS-once failure cause. win is the window
+	// the slot was issued in; finishing the slot finishes one unit of it.
 	pending atomic.Int32
 	cause   atomic.Uint32
-	done    chan struct{}
+	win     *window
 }
 
 // scanState carries SCAN fan-out results: segs[i] holds shard i's
@@ -239,7 +238,8 @@ func (sl *slot) fail(cause uint32) {
 }
 
 // complete retires one pending unit; the last unit finishes the slot:
-// accounting, busy rendering, SCAN assembly, and the done signal. procID
+// accounting, busy rendering, SCAN assembly, and one unit of the slot's
+// window (the window's last unit wakes the connection writer). procID
 // shards the obs counters (workers pass their pool id, the connection
 // goroutines 0).
 func (sl *slot) complete(procID int) {
@@ -288,11 +288,11 @@ func (sl *slot) complete(procID int) {
 		obsBusyCrash.Inc(procID)
 		sl.static = lineBusy
 	}
-	sl.done <- struct{}{}
+	sl.win.finish()
 }
 
 // payload returns the rendered reply. Only the connection writer calls
-// it, after receiving done.
+// it, after the slot's window is done.
 func (sl *slot) payload() []byte {
 	if sl.static != nil {
 		return sl.static

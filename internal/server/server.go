@@ -19,14 +19,16 @@
 // adopt (the PR-1 abandonment path), and is respawned with fresh ids.
 //
 // The hot path is allocation-free: requests are parsed from the raw line
-// bytes into per-connection ring slots, workers render replies into
-// per-slot scratch buffers, and the writer coalesces consecutive
-// completions into one buffered write, flushing only when the ring
-// drains or a batch cap hits.
+// bytes into per-connection ring slots, handed to the shard workers and
+// back to the writer one window (the run of requests already buffered)
+// at a time, workers render replies into per-slot scratch buffers, and
+// the writer coalesces completed windows into one buffered write,
+// flushing only when no further window is issued or a batch cap hits.
 package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -51,9 +53,9 @@ import (
 // busy.arena + busy.crash + busy.lease (queue and lease sheds never
 // reach a worker, so they count no req/reply). server.conns/server.disconn count connection
 // accept/teardown; their difference is the live-connection gauge and
-// must be 0 after Close. server.queue.depth samples shard-queue
-// occupancy at enqueue; server.flush.batch records how many replies each
-// writer Flush coalesced.
+// must be 0 after Close. server.queue.depth samples a shard's queued
+// requests after each batch admission; server.flush.batch records how
+// many replies each writer Flush coalesced.
 var (
 	obsReq        = obs.NewCounter("server.req")
 	obsReply      = obs.NewCounter("server.reply")
@@ -112,15 +114,17 @@ type Config struct {
 	// consumed and answered with -ERR.
 	MaxValLen int
 
-	// QueueDepth bounds each shard's request queue (default 4 * the
-	// shard's worker count, with a floor of one MaxPipeline window so a
-	// single pipelining client does not trip backpressure). A full queue
-	// sheds with -BUSY rather than blocking the connection.
+	// QueueDepth bounds each shard's request queue, in requests (default
+	// 4 * the shard's worker count, with a floor of one MaxPipeline
+	// window so a single pipelining client does not trip backpressure).
+	// Requests travel in per-window batches, but a batch is admitted only
+	// as far as it fits: the requests beyond the bound shed with -BUSY,
+	// each at its own position, rather than blocking the connection.
 	QueueDepth int
 
-	// MaxPipeline is the per-connection pipeline window: how many
+	// MaxPipeline is the per-connection pipeline depth: how many
 	// requests may be in flight (parsed but not yet replied) on one
-	// connection (default 64). The window is a fixed ring of reply
+	// connection (default 64). The pipeline is a fixed ring of reply
 	// slots, so it also bounds per-connection memory.
 	MaxPipeline int
 
@@ -281,7 +285,7 @@ type Server struct {
 	cfg    Config
 	shards []*collections.Map
 	caches []*collections.Cache // cache mode only; shards stays nil-filled
-	queues []chan *slot
+	queues []shardQueue
 	leases *snaplease.Pool // snapshot leases + version clock for all shards
 	ln     net.Listener
 
@@ -322,7 +326,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		shards:     make([]*collections.Map, cfg.Shards),
 		caches:     make([]*collections.Cache, cfg.Shards),
-		queues:     make([]chan *slot, cfg.Shards),
+		queues:     make([]shardQueue, cfg.Shards),
 		role:       make([]atomic.Uint32, cfg.Shards),
 		replLogs:   make([]*replLog, cfg.Shards),
 		replIns:    make([]*replIn, cfg.Shards),
@@ -369,13 +373,13 @@ func New(cfg Config) (*Server, error) {
 			}
 			s.shards[i] = m
 		}
-		s.queues[i] = make(chan *slot, cfg.QueueDepth)
-		q := s.queues[i]
+		q := &s.queues[i]
+		q.ch, q.depth = make(chan []*slot, cfg.QueueDepth), int64(cfg.QueueDepth)
 		obs.RegisterGauge(s.gaugeName(fmt.Sprintf("queue.%d", i)), func() (int64, bool) {
 			if s.closed.Load() {
 				return 0, false
 			}
-			return int64(len(q)), true
+			return q.queued.Load(), true
 		})
 		// Shard roles: single-node serves everything as primary; a cluster
 		// node is primary for its PrimaryNode shards (with a replication
@@ -564,13 +568,13 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 }
 
 // serveConn runs a connection's read half: parse request lines from raw
-// bytes, claim a ring slot, and route. Replies are completed into the
-// slot (by a worker, or inline for local/shed requests) and written in
-// request order by connWriter. The reader never blocks on a shard
-// queue - a full queue is an immediate -BUSY - and the writer never
-// blocks completers (every slot's done channel holds one buffered
-// token), which is what keeps Close's "drain connections, then workers"
-// sequence deadlock-free.
+// bytes, claim a ring slot, and add it to the open window (connPipe).
+// Replies are completed into the slot (by a worker, or inline for
+// local/shed requests) and written in request order by connWriter. The
+// reader never blocks on a shard queue - a full queue is an immediate
+// -BUSY - and the writer never blocks completers (every window's done
+// channel holds one buffered token), which is what keeps Close's "drain
+// connections, then workers" sequence deadlock-free.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.connWg.Done()
 	defer func() {
@@ -592,14 +596,19 @@ func (s *Server) serveConn(c net.Conn) {
 
 	n := s.cfg.MaxPipeline
 	slots := make([]slot, n)
-	free := make(chan *slot, n)
-	issued := make(chan *slot, n)
+	p := &connPipe{
+		queues: s.queues,
+		free:   make([]*slot, n),
+		// Every window in flight holds at least one of the n slots, so
+		// neither channel ever holds more than n windows.
+		issued:   make(chan *window, n),
+		returned: make(chan *window, n),
+	}
 	for i := range slots {
-		slots[i].done = make(chan struct{}, 1)
-		free <- &slots[i]
+		p.free[i] = &slots[i]
 	}
 	writerDone := make(chan struct{})
-	go s.connWriter(c, issued, free, writerDone)
+	go s.connWriter(c, p.issued, p.returned, writerDone)
 
 	br := bufio.NewReaderSize(c, maxLine)
 	var fields [maxFields][]byte
@@ -613,17 +622,17 @@ func (s *Server) serveConn(c net.Conn) {
 			go s.Kill()
 			break
 		}
+		if p.open != nil && !lineBuffered(br) {
+			p.flush() // readLine is about to wait on the socket
+		}
 		if s.cfg.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
 		line, err := readLine(br)
 		if err == errLineTooLong {
-			sl := <-free
-			sl.reset()
-			sl.local, sl.static = true, lineTooLong
-			sl.pending.Store(1)
-			issued <- sl
-			sl.complete(0)
+			sl := p.claim()
+			sl.static = lineTooLong
+			p.local(sl)
 			continue
 		}
 		if err != nil {
@@ -637,14 +646,213 @@ func (s *Server) serveConn(c net.Conn) {
 		if nf == 0 {
 			continue
 		}
-		sl := <-free
-		sl.reset()
-		if !s.dispatch(c, br, sl, fields[:min(nf, maxFields)], nf, issued) {
+		if !s.dispatch(c, br, p, p.claim(), fields[:min(nf, maxFields)], nf) {
 			break // body read failed: the stream is dead or desynced
 		}
 	}
-	close(issued)
+	p.flush()
+	close(p.issued)
 	<-writerDone
+}
+
+// lineBuffered reports whether a complete request line is already
+// buffered, i.e. whether readLine can return without a socket read.
+func lineBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// window is one run of pipelined requests: the ones the connection
+// reader parsed from bytes that were already buffered. It is handed on
+// whole - to the writer as one issued item, and to each shard as one
+// queue item carrying that shard's share - so a pipelining client costs
+// one queue send per shard and one writer wake per window, not per
+// request. pending counts the window's unfinished slots plus one unit
+// the reader holds until the flush; the decrement that reaches zero
+// sends the single done token the writer waits on. Windows are
+// per-connection and come back from the writer with their slots, so a
+// window, not a slot, is the unit of recycling too.
+type window struct {
+	slots   []*slot   // request order
+	batches [][]*slot // per-shard share, indexed by shard
+	pending atomic.Int32
+	done    chan struct{}
+}
+
+// finish retires one pending unit of the window.
+func (w *window) finish() {
+	if w.pending.Add(-1) == 0 {
+		w.done <- struct{}{}
+	}
+}
+
+// connPipe is the reader's half of a connection's pipeline: its free
+// slots and spare windows, the issued ring the writer consumes in order,
+// the returned channel on which the writer hands each written window
+// back with its slots, and the open window being filled.
+//
+// The flush rule: the reader flushes its open window before anything
+// that can block - a readLine with no complete line buffered, a body
+// read whose bytes are not all buffered, a slot claim with no slot free,
+// PROMOTE's wait, and connection end. A client that waits for earlier
+// replies before sending more therefore never waits on a window the
+// reader is still holding.
+type connPipe struct {
+	queues   []shardQueue
+	free     []*slot
+	spare    []*window
+	issued   chan *window
+	returned chan *window
+	open     *window
+}
+
+// reclaim takes back one window the writer is done with, waiting for it
+// if block is set: its slots rejoin the free list and the window becomes
+// a spare. It reports whether a window came back.
+func (p *connPipe) reclaim(block bool) bool {
+	var w *window
+	if block {
+		w = <-p.returned
+	} else {
+		select {
+		case w = <-p.returned:
+		default:
+			return false
+		}
+	}
+	p.free = append(p.free, w.slots...)
+	w.slots = w.slots[:0]
+	for i := range w.batches {
+		w.batches[i] = w.batches[i][:0]
+	}
+	p.spare = append(p.spare, w)
+	return true
+}
+
+// claim takes a free slot. With none free, every slot is in flight: it
+// takes back a written window, flushing first if it has to wait for one.
+func (p *connPipe) claim() *slot {
+	if len(p.free) == 0 && !p.reclaim(false) {
+		p.flush()
+		p.reclaim(true)
+	}
+	sl := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	sl.reset()
+	return sl
+}
+
+// push adds sl, with its pending already set, to the open window,
+// opening one if none is: a spare, one the writer has returned, or -
+// only while the connection warms up - a new one.
+func (p *connPipe) push(sl *slot) {
+	w := p.open
+	if w == nil {
+		if len(p.spare) == 0 && !p.reclaim(false) {
+			p.spare = append(p.spare, &window{batches: make([][]*slot, len(p.queues)), done: make(chan struct{}, 1)})
+		}
+		w = p.spare[len(p.spare)-1]
+		p.spare = p.spare[:len(p.spare)-1]
+		w.pending.Store(1)
+		p.open = w
+	}
+	w.pending.Add(1)
+	w.slots = append(w.slots, sl)
+	sl.win = w
+}
+
+// now adds sl to the open window and finishes it on the reader: a local
+// reply, or a shed that never reaches a worker.
+func (p *connPipe) now(sl *slot) {
+	sl.pending.Store(1)
+	p.push(sl)
+	sl.complete(0)
+}
+
+// local finishes a reader-completed slot (no worker involved).
+func (p *connPipe) local(sl *slot) {
+	sl.local = true
+	p.now(sl)
+}
+
+// route adds a single-shard request to the open window's share for shard.
+func (p *connPipe) route(sl *slot, shard int) {
+	sl.pending.Store(1)
+	p.push(sl)
+	p.open.batches[shard] = append(p.open.batches[shard], sl)
+}
+
+// fanout adds a SCAN, SNAPSCAN or MGET to every shard's share; each
+// shard's worker completes one pending unit.
+func (p *connPipe) fanout(sl *slot) {
+	sl.pending.Store(int32(len(p.queues)))
+	p.push(sl)
+	for i := range p.open.batches {
+		p.open.batches[i] = append(p.open.batches[i], sl)
+	}
+}
+
+// flush issues the open window to the writer (before any queue send, so
+// the writer sees windows in request order), hands each shard its
+// share, and drops the reader's own pending unit.
+func (p *connPipe) flush() {
+	w := p.open
+	if w == nil {
+		return
+	}
+	p.open = nil
+	p.issued <- w
+	for i, b := range w.batches {
+		if len(b) > 0 {
+			p.queues[i].enqueue(b)
+		}
+	}
+	w.finish()
+}
+
+// shardQueue is one shard's request queue. Its items are batches (one
+// window's share of the shard) but its bound is in requests: queued
+// counts requests admitted and not yet finished by a worker, admission
+// never lets it exceed depth, and a batch holds at least one request -
+// so the channel, sized depth, never blocks the reader.
+type shardQueue struct {
+	ch     chan []*slot
+	queued atomic.Int64
+	depth  int64
+}
+
+// enqueue admits the head of b that fits under depth, sends it as one
+// item, and sheds the rest with causeQueue, each at its own position.
+// A shed SCAN share completes -BUSY once every other share resolves
+// (cause is CAS-once, so exactly one shed is counted for the request).
+// The depth histogram samples queued requests after admission, so at
+// saturation it records the full depth the -BUSY threshold acted on.
+func (q *shardQueue) enqueue(b []*slot) {
+	var take, after int64
+	for {
+		cur := q.queued.Load()
+		take = max(0, min(int64(len(b)), q.depth-cur))
+		after = cur + take
+		if take == 0 || q.queued.CompareAndSwap(cur, after) {
+			break
+		}
+	}
+	if obs.Enabled() {
+		obsQueueDepth.Observe(uint64(after))
+	}
+	if take > 0 {
+		q.ch <- b[:take]
+	}
+	for _, sl := range b[take:] {
+		sl.fail(causeQueue)
+		sl.complete(0)
+	}
+}
+
+// done finishes a worker-run slot and releases its queue admission.
+func (q *shardQueue) done(sl *slot, procID int) {
+	q.queued.Add(-1)
+	sl.complete(procID)
 }
 
 // readBody reads a length-prefixed value body — n raw bytes plus the
@@ -689,51 +897,23 @@ func discardBody(br *bufio.Reader, n int) error {
 	return nil
 }
 
-// localReply finishes a reader-completed slot (no worker involved).
-func localReply(sl *slot, issued chan<- *slot) {
-	sl.local = true
-	sl.pending.Store(1)
-	issued <- sl
-	sl.complete(0)
-}
-
-// enqueue sends sl to q or sheds it with causeQueue. The depth histogram
-// samples AFTER a successful send — len(q) including the element just
-// added — so at saturation the recorded depth is the full capacity the
-// -BUSY threshold acted on, not capacity-1 (a shed records cap(q)).
-func enqueue(q chan *slot, sl *slot) {
-	select {
-	case q <- sl:
-		if obs.Enabled() {
-			obsQueueDepth.Observe(uint64(len(q)))
-		}
-	default:
-		if obs.Enabled() {
-			obsQueueDepth.Observe(uint64(cap(q)))
-		}
-		sl.fail(causeQueue)
-		sl.complete(0)
-	}
-}
-
-// dispatch routes one parsed request: local verbs complete inline,
-// single-shard ops go to their shard's queue, SCAN, SNAPSCAN, and MGET
-// fan out to every shard (the leased verbs first draw a snapshot lease;
-// a dry pool sheds with -BUSY before touching any queue). The slot is
-// sent to issued (the ordered completion ring) before any queue send, so
-// the writer sees slots in exact request order. The conn is threaded
+// dispatch routes one parsed request into the open window: local verbs
+// complete inline, single-shard ops join their shard's share, SCAN,
+// SNAPSCAN, and MGET join every shard's share (the leased verbs first
+// draw a snapshot lease; a dry pool sheds with -BUSY before touching any
+// queue). The window keeps slots in exact request order. The conn is threaded
 // through for the replication verbs, which record it as the shard's
 // stream source (promotion waits for it to close). Value-carrying verbs
 // consume their body here, on the reader, whenever the length field
 // parsed — even if the rest of the request is rejected — so the stream
 // stays framed. Returns false when the connection must be dropped (body
 // read failed mid-frame: the stream is dead or unrecoverably desynced).
-func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byte, nf int, issued chan<- *slot) bool {
+func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, fields [][]byte, nf int) bool {
 	verb := verbOf(fields[0])
 	badArity := func(want int) bool {
 		if nf != want+1 {
 			sl.buf = appendErr(sl.buf[:0], "%s takes %d argument(s)", fields[0], want)
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		return false
@@ -754,24 +934,27 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		vlen, vok := parseUintBytes(lf)
 		if !vok {
 			sl.buf = appendErr(sl.buf[:0], "bad length %q", lf)
-			localReply(sl, issued)
+			p.local(sl)
 			return false, true
+		}
+		if uint64(br.Buffered()) <= vlen {
+			p.flush() // the body and its LF are not all buffered: the read can block
 		}
 		if vlen > uint64(s.cfg.MaxValLen) {
 			if err := discardBody(br, int(vlen)); err != nil {
 				sl.buf = appendErr(sl.buf[:0], "bad value body")
-				localReply(sl, issued)
+				p.local(sl)
 				return false, false
 			}
 			sl.buf = appendErr(sl.buf[:0], "value too large (%d > %d)", vlen, s.cfg.MaxValLen)
-			localReply(sl, issued)
+			p.local(sl)
 			return false, true
 		}
 		var err error
 		sl.val, err = readBody(br, sl.val, int(vlen))
 		if err != nil {
 			sl.buf = appendErr(sl.buf[:0], "bad value body")
-			localReply(sl, issued)
+			p.local(sl)
 			return false, false
 		}
 		return true, true
@@ -779,10 +962,10 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 	switch verb {
 	case vPing:
 		sl.static = linePong
-		localReply(sl, issued)
+		p.local(sl)
 	case vStats:
 		sl.buf = appendStats(sl.buf[:0])
-		localReply(sl, issued)
+		p.local(sl)
 	case vGet, vPut, vDel:
 		want := 1
 		if verb == vPut {
@@ -803,7 +986,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 			}
 		}
 		if !keyOK {
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		shard := s.shardOf(key)
@@ -812,7 +995,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 			// point the client at the shard's topology primary. A promoted
 			// replica holds rolePrimary and serves normally.
 			sl.buf = appendMoved(sl.buf[:0], s.cfg.Peers[PrimaryNode(shard, len(s.cfg.Peers))])
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		sl.key, sl.shard = key, shard
@@ -824,9 +1007,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		case vPut:
 			sl.op = opPut
 		}
-		sl.pending.Store(1)
-		issued <- sl
-		enqueue(s.queues[shard], sl)
+		p.route(sl, shard)
 	case vRPut, vRDel:
 		want := 3
 		if verb == vRPut {
@@ -848,7 +1029,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		}
 		if !ok1 || !ok2 || !ok3 || shard64 >= uint64(len(s.shards)) {
 			sl.buf = appendErr(sl.buf[:0], "bad replication frame")
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		shard := int(shard64)
@@ -858,14 +1039,12 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 			// not -BUSY — the shipper must stop, not rewind (split-brain
 			// guard after promotion).
 			sl.buf = appendErr(sl.buf[:0], "shard %d is not a replica here", shard)
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		sl.key, sl.shard, sl.seq = key, shard, seq
 		ri.noteReceived(seq, c)
-		sl.pending.Store(1)
-		issued <- sl
-		enqueue(s.queues[shard], sl)
+		p.route(sl, shard)
 	case vPromote:
 		if badArity(1) {
 			return true
@@ -873,7 +1052,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		shard64, ok := parseUintBytes(fields[1])
 		if !ok || shard64 >= uint64(len(s.shards)) {
 			sl.buf = appendErr(sl.buf[:0], "bad shard %q", fields[1])
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		shard := int(shard64)
@@ -892,7 +1071,9 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 			sl.buf = appendShardSeq(sl.buf[:0], "+PROMOTED", shard, applied)
 		case s.role[shard].Load() == roleReplica:
 			// Blocks this connection goroutine (never a worker — workers
-			// must keep applying the backlog we are waiting on).
+			// must keep applying the backlog we are waiting on), so the
+			// open window goes out first.
+			p.flush()
 			applied, _ := s.promoteWait(shard)
 			s.role[shard].Store(rolePrimary)
 			obsPromote.Inc(0)
@@ -900,11 +1081,11 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		default:
 			sl.buf = appendErr(sl.buf[:0], "shard %d is not hosted here", shard)
 		}
-		localReply(sl, issued)
+		p.local(sl)
 	case vSetEx, vGetEx, vExpire:
 		if !s.cfg.CacheMode && verb != vSetEx {
 			sl.buf = appendErr(sl.buf[:0], "%s requires cache mode", fields[0])
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		want := 2
@@ -924,13 +1105,13 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 			}
 			if !s.cfg.CacheMode {
 				sl.buf = appendErr(sl.buf[:0], "SETEX requires cache mode")
-				localReply(sl, issued)
+				p.local(sl)
 				return true
 			}
 		}
 		if !ok1 || !ok2 {
 			sl.buf = appendErr(sl.buf[:0], "bad number")
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		switch verb {
@@ -944,16 +1125,14 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		// The TTL (milliseconds) rides the slot's ts field: cache mode
 		// never draws snapshot leases, so the field is otherwise idle.
 		sl.key, sl.shard, sl.ts = key, s.shardOf(key), ttl
-		sl.pending.Store(1)
-		issued <- sl
-		enqueue(s.queues[sl.shard], sl)
+		p.route(sl, sl.shard)
 	case vCacheStats:
 		if !s.cfg.CacheMode {
 			sl.buf = appendErr(sl.buf[:0], "CACHESTATS requires cache mode")
 		} else {
 			sl.buf = s.appendCacheStats(sl.buf[:0])
 		}
-		localReply(sl, issued)
+		p.local(sl)
 	case vScan:
 		if badArity(1) {
 			return true
@@ -961,7 +1140,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		lim64, ok := parseIntBytes(fields[1])
 		if !ok {
 			sl.buf = appendErr(sl.buf[:0], "bad number %q", fields[1])
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		sl.op = opScan
@@ -970,18 +1149,11 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 			sl.limit = s.cfg.ScanLimit
 		}
 		sl.ensureScan(len(s.shards))
-		sl.pending.Store(int32(len(s.shards)))
-		issued <- sl
-		for i := range s.queues {
-			// A shed shard's share completes -BUSY once every other share
-			// resolves (cause is CAS-once, so exactly one shed is counted
-			// for the whole request).
-			enqueue(s.queues[i], sl)
-		}
+		p.fanout(sl)
 	case vSnapScan:
 		if s.cfg.CacheMode {
 			sl.buf = appendErr(sl.buf[:0], "SNAPSCAN is not available in cache mode")
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		if badArity(1) {
@@ -990,7 +1162,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		lim64, ok := parseIntBytes(fields[1])
 		if !ok {
 			sl.buf = appendErr(sl.buf[:0], "bad number %q", fields[1])
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		sl.op = opSnapScan
@@ -1001,27 +1173,21 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		sl.ensureScan(len(s.shards))
 		lease, ok := s.leases.Acquire(0)
 		if !ok {
-			sl.pending.Store(1)
-			issued <- sl
 			sl.fail(causeLease)
-			sl.complete(0)
+			p.now(sl)
 			return true
 		}
 		sl.ts, sl.lease = lease.TS(), lease
-		sl.pending.Store(int32(len(s.shards)))
-		issued <- sl
-		for i := range s.queues {
-			enqueue(s.queues[i], sl)
-		}
+		p.fanout(sl)
 	case vMGet:
 		if s.cfg.CacheMode {
 			sl.buf = appendErr(sl.buf[:0], "MGET is not available in cache mode")
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		if nf < 2 || nf-1 > maxMGetKeys {
 			sl.buf = appendErr(sl.buf[:0], "MGET takes 1..%d keys", maxMGetKeys)
-			localReply(sl, issued)
+			p.local(sl)
 			return true
 		}
 		sl.keys = sl.keys[:0]
@@ -1029,7 +1195,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 			key, ok := parseUintBytes(f)
 			if !ok {
 				sl.buf = appendErr(sl.buf[:0], "bad number %q", f)
-				localReply(sl, issued)
+				p.local(sl)
 				return true
 			}
 			if sh := s.shardOf(key); s.cluster && s.role[sh].Load() != rolePrimary {
@@ -1037,7 +1203,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 				// primary here (cross-node multi-key reads would need a
 				// cross-node clock; see DESIGN.md §10).
 				sl.buf = appendMoved(sl.buf[:0], s.cfg.Peers[PrimaryNode(sh, len(s.cfg.Peers))])
-				localReply(sl, issued)
+				p.local(sl)
 				return true
 			}
 			sl.keys = append(sl.keys, key)
@@ -1046,65 +1212,37 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, sl *slot, fields [][]byt
 		sl.ensureMGet(len(sl.keys))
 		lease, ok := s.leases.Acquire(0)
 		if !ok {
-			sl.pending.Store(1)
-			issued <- sl
 			sl.fail(causeLease)
-			sl.complete(0)
+			p.now(sl)
 			return true
 		}
 		sl.ts, sl.lease = lease.TS(), lease
 		// Fan to every shard: each worker resolves only the keys its
 		// shard owns, writing disjoint indexes of mvals/mhits.
-		sl.pending.Store(int32(len(s.shards)))
-		issued <- sl
-		for i := range s.queues {
-			enqueue(s.queues[i], sl)
-		}
+		p.fanout(sl)
 	default:
 		sl.buf = appendErr(sl.buf[:0], "unknown command %q", fields[0])
-		localReply(sl, issued)
+		p.local(sl)
 	}
 	return true
 }
 
-// connWriter is the connection's write half: it consumes issued slots in
-// request order, waits for each slot's completion, and coalesces
-// consecutive completed replies into one buffered write, flushing only
-// when no further completed reply is immediately available (the ring
-// drained) or FlushBatch replies have accumulated. A lock-step client
-// therefore still gets one flush per request, while a pipelining client
-// amortizes the syscall across the window. On a broken peer it keeps
-// draining and recycling slots without writing, so workers and the
-// reader never block on a dead connection.
-func (s *Server) connWriter(c net.Conn, issued <-chan *slot, free chan<- *slot, writerDone chan<- struct{}) {
+// connWriter is the connection's write half: it takes issued windows in
+// request order, waits once for each window's done token, writes every
+// reply of the window in order, and returns the window, slots and all,
+// to the reader. Replies coalesce in one buffered writer across windows,
+// which is flushed when no further window is already issued or
+// FlushBatch replies have accumulated. A lock-step client therefore
+// still gets one flush per request, while a pipelining client amortizes
+// the syscall across the window. On a broken peer it keeps draining and
+// returning windows without writing, so workers and the reader never
+// block on a dead connection.
+func (s *Server) connWriter(c net.Conn, issued <-chan *window, returned chan<- *window, writerDone chan<- struct{}) {
 	defer close(writerDone)
 	bw := bufio.NewWriterSize(c, 32<<10)
 	broken := false
-	for sl := range issued {
-		batch := 0
-		for sl != nil {
-			<-sl.done
-			if !broken {
-				if _, err := bw.Write(sl.payload()); err != nil {
-					broken = true
-				}
-			}
-			free <- sl
-			batch++
-			if batch >= s.cfg.FlushBatch {
-				break
-			}
-			select {
-			case nx, ok := <-issued:
-				if !ok {
-					sl = nil // channel closed; flush and let the range exit
-					continue
-				}
-				sl = nx
-			default:
-				sl = nil
-			}
-		}
+	batch := 0
+	flush := func() {
 		if !broken {
 			if obs.Enabled() {
 				obsFlushBatch.Observe(uint64(batch))
@@ -1112,6 +1250,24 @@ func (s *Server) connWriter(c net.Conn, issued <-chan *slot, free chan<- *slot, 
 			if err := bw.Flush(); err != nil {
 				broken = true
 			}
+		}
+		batch = 0
+	}
+	for w := range issued {
+		<-w.done
+		for _, sl := range w.slots {
+			if !broken {
+				if _, err := bw.Write(sl.payload()); err != nil {
+					broken = true
+				}
+			}
+			if batch++; batch >= s.cfg.FlushBatch {
+				flush()
+			}
+		}
+		returned <- w
+		if batch > 0 && len(issued) == 0 {
+			flush()
 		}
 	}
 }
@@ -1133,53 +1289,88 @@ func appendStats(buf []byte) []byte {
 // --- worker pool -----------------------------------------------------------
 
 // runWorker keeps exactly one session alive until the shard queue
-// closes; a crashed session is replaced with a fresh one (fresh pid).
+// closes; a crashed session is replaced with a fresh one (fresh pid),
+// which resumes the batch the crashed one left unfinished. That
+// remainder lives here, outside any session.
 func (s *Server) runWorker(id, shard int) {
 	defer s.workerWg.Done()
-	for s.workerSession(id, shard) {
+	var rest []*slot
+	for s.workerSession(id, shard, &rest) {
 	}
 }
 
-// workerSession attaches one MapHandle to this worker's shard and serves
-// that shard's queue. It returns true when the session died to a
-// simulated crash and should be respawned, false when the queue closed
-// (orderly drain: the handle is detached, flushing deferred work). A
-// crash mid-request fails the in-flight slot to -BUSY and abandons the
-// handle — announcements, retired list and arena shard stay behind for
-// the shard's survivors (or the teardown drain rounds) to adopt before
-// the pid is reissued. Only this shard's registry is involved: a crash
-// never perturbs the other shards.
-func (s *Server) workerSession(id, shard int) (respawn bool) {
+// shardExec is one worker session's attachment to its shard - a map or
+// a cache handle - behind the one worker loop.
+type shardExec interface {
+	exec(s *Server, procID, shard int, sl *slot)
+	Abandon()
+	Close()
+}
+
+type mapExec struct{ *collections.MapHandle }
+
+func (x mapExec) exec(s *Server, procID, shard int, sl *slot) { s.exec(x.MapHandle, procID, shard, sl) }
+
+type cacheExec struct{ *collections.CacheHandle }
+
+func (x cacheExec) exec(s *Server, _, _ int, sl *slot) { s.execCache(x.CacheHandle, sl) }
+
+// workerSession attaches one handle to this worker's shard and serves
+// that shard's queue, one batch at a time and one slot at a time within
+// it; *rest is the unfinished remainder of the current batch. It returns
+// true when the session died to a simulated crash and should be
+// respawned, false when the queue closed (orderly drain: the handle is
+// detached, flushing deferred work). A crash mid-request fails the
+// in-flight slot - the head of *rest - to -BUSY and abandons the handle:
+// announcements, retired list and arena shard stay behind for the
+// shard's survivors (or the teardown drain rounds) to adopt before the
+// pid is reissued. Only this shard's registry is involved: a crash never
+// perturbs the other shards. A cache handle's Abandon additionally
+// re-indexes its in-flight eviction records so no weak unit is lost or
+// doubled.
+func (s *Server) workerSession(id, shard int, rest *[]*slot) (respawn bool) {
+	q := &s.queues[shard]
+	var x shardExec
 	if s.cfg.CacheMode {
-		return s.cacheWorkerSession(id, shard)
+		x = cacheExec{s.caches[shard].Attach()}
+	} else {
+		x = mapExec{s.shards[shard].Attach()}
 	}
-	h := s.shards[shard].Attach()
-	var cur *slot
 	defer func() {
 		r := recover()
 		if r == nil {
-			h.Close()
+			x.Close()
 			return
 		}
 		if _, ok := r.(chaos.CrashSignal); !ok {
 			panic(r) // real bug (UAF, invariant breach): fail loudly
 		}
 		obsWorkerDead.Inc(id)
-		h.Abandon()
-		if cur != nil {
-			cur.fail(causeCrash)
-			cur.complete(id)
-		}
+		x.Abandon()
+		sl := (*rest)[0]
+		*rest = (*rest)[1:]
+		sl.fail(causeCrash)
+		q.done(sl, id)
 		respawn = true
 	}()
-	for sl := range s.queues[shard] {
-		cur = sl
-		chaosWorkerOp.Fire()
-		s.exec(h, id, shard, sl)
-		cur = nil
-		sl.complete(id)
+	for {
+		for len(*rest) > 0 {
+			sl := (*rest)[0]
+			chaosWorkerOp.Fire()
+			x.exec(s, id, shard, sl)
+			*rest = (*rest)[1:]
+			q.done(sl, id)
+		}
+		// Drop the finished batch: its backing array is the window's, and
+		// through the slots it reaches the connection's whole ring, scan
+		// segments included, long after the connection closed.
+		*rest = nil
+		b, ok := <-q.ch
+		if !ok {
+			return false
+		}
+		*rest = b
 	}
-	return false
 }
 
 // exec runs one request (or, for SCAN, this shard's share of one)
@@ -1332,8 +1523,8 @@ func (s *Server) shutdown(graceful bool) error {
 			}
 		}
 		s.connWg.Wait()
-		for _, q := range s.queues {
-			close(q)
+		for i := range s.queues {
+			close(s.queues[i].ch)
 		}
 		s.workerWg.Wait()
 		// Workers are gone, so the replication logs are final: ship the

@@ -98,6 +98,16 @@ go run -race ./cmd/cdrc-load -duration 5s -conns 4 -pipeline 16 -json-out /tmp/c
 echo "==> pipelined loopback soak under chaos (5s, race, depth 16, 2 simulated worker crashes)"
 go run -race ./cmd/cdrc-load -duration 5s -conns 4 -pipeline 16 -chaos -chaos-seed 1 -crash-workers 2
 
+# Server window handoff regression pass (DESIGN.md §7): the reader's
+# flush-before-blocking rule (partial line, held-back body), a crash in
+# the middle of a batch resuming on the respawned worker, QueueDepth
+# counted in requests rather than batches, and the pipelined ordering,
+# queue-shed, zero-alloc and split-segment suites the window path runs
+# through. Already in the ./... sweep; repeated under the race detector
+# to keep the regressions named and re-runnable.
+echo "==> server window handoff regression pass (race, count 5)"
+go test -race -count 5 -run 'WindowFlush|CrashMidBatch|QueueDepthCounts|PipelinedOrdering|QueueBusy|ServerGetZeroAlloc|SplitSegment' ./internal/server
+
 # Snapshot-read regression pass: the SCAN row-cap fix, pipelined
 # slot-reuse fix, MGET/SNAPSCAN point-in-time consistency, lease-pool
 # shed accounting, and the crash-releases-lease path, all under the
