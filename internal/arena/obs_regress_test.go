@@ -105,7 +105,7 @@ func TestAllocPanicsOnInjectedFault(t *testing.T) {
 }
 
 // TestStatsSlotsUnderflowGuard covers Stats on pools that never carved a
-// slot: a fresh pool reports 0, and a zero-value Pool (nextFresh == 0,
+// slot: a fresh pool reports 0, and a zero-value Pool (carved == 0,
 // not usable but observable) must not wrap Slots around to 2^64-1.
 func TestStatsSlotsUnderflowGuard(t *testing.T) {
 	fresh := NewPool[payload](2)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 	"weak"
 
 	"cdrc/internal/chaos"
@@ -43,16 +44,19 @@ var (
 )
 
 const (
-	// defaultChunkShift sizes the slabs: each chunk holds 1<<chunkShift
-	// slots unless PoolOpts.ChunkShift overrides it (the value-slab size
-	// classes do, so a 4KiB-slot class does not commit 64MiB per chunk).
-	defaultChunkShift = 14
+	// fullChunkBytes sizes a pool's full chunk: 1<<chunkShift slots, the
+	// largest power of two that fits in about this many bytes of slots
+	// (never fewer than one block). Chunks ramp up to that size from one
+	// block (DESIGN.md §8).
+	fullChunkBytes = 1 << 20
 
 	// blockSize is the transfer granularity of the allocator: free slots
 	// are grouped into blocks of up to blockSize indices (chained through
 	// their headers' nextFree fields), and all traffic between processors
-	// and the shared pool moves whole blocks in O(1).
-	blockSize = 64
+	// and the shared pool moves whole blocks in O(1). It is also the
+	// length of a pool's first chunk.
+	blockShift = 6
+	blockSize  = 1 << blockShift
 
 	// blockIdxBits is the width of a slot index inside the block stack's
 	// packed words. 40 bits matches the Handle index budget (DESIGN.md
@@ -128,8 +132,12 @@ type slot[T any] struct {
 	val T
 }
 
+// chunk k spans the index range [k<<chunkShift, (k+1)<<chunkShift) but
+// holds only len(slots) slots: min(blockSize<<k, 1<<chunkShift), clamped
+// to the capacity still uncarved when it was made. Indices past its end
+// are never carved.
 type chunk[T any] struct {
-	slots []slot[T] // len == 1<<pool.chunkShift
+	slots []slot[T]
 }
 
 // magazine is a chain of free slot indices linked through the slots'
@@ -159,7 +167,7 @@ type Stats struct {
 	Allocs uint64 // total successful Alloc calls
 	Frees  uint64 // total Free calls
 	Live   int64  // Allocs - Frees
-	Slots  uint64 // slots ever carved out of chunks (capacity high-water)
+	Slots  uint64 // slots ever carved out of chunks (handed to the free lists)
 
 	// LiveHighWater is the largest Live value observed by any allocation.
 	// It is maintained with a CAS max-loop, so it is exact even under
@@ -201,14 +209,18 @@ type Pool[T any] struct {
 	blocks  atomic.Uint64
 	blocksN atomic.Int64
 
+	// Carving state, guarded by growMu. nextFresh can skip the unused
+	// tail of a short chunk's index range, so carved (not nextFresh)
+	// counts the slots carved so far.
 	growMu    sync.Mutex
 	nextFresh uint64 // next never-allocated index; index 0 is reserved
-	capSlots  uint64 // max slots ever carved; 0 = unbounded. Guarded by growMu.
+	carved    uint64 // slots carved so far
+	capSlots  uint64 // max slots ever carved; 0 = unbounded
 
 	local []procCache
 
-	// chunkShift/chunkMask size this pool's chunks (defaultChunkShift
-	// unless overridden at construction); immutable after NewPool.
+	// chunkShift/chunkMask give each chunk's index range; chunkShift is
+	// derived from the slot size (chunkShiftFor). Immutable after NewPool.
 	chunkShift uint
 	chunkMask  uint64
 
@@ -229,11 +241,6 @@ type PoolOpts struct {
 
 	// Name labels the pool's obs gauges ("" = auto "arena.pool.NNN").
 	Name string
-
-	// ChunkShift sets log2(slots per chunk); 0 means the default (14).
-	// Minimum 6 (one block). Pools of large slots use a smaller shift so
-	// a first allocation does not commit tens of megabytes.
-	ChunkShift uint
 }
 
 // NewPool creates a pool serving processors with ids in [0, maxProcs).
@@ -242,19 +249,13 @@ func NewPool[T any](maxProcs int) *Pool[T] {
 	return NewPoolWith[T](PoolOpts{MaxProcs: maxProcs})
 }
 
-// NewPoolWith is NewPool with explicit naming and chunk sizing.
+// NewPoolWith is NewPool with explicit naming.
 func NewPoolWith[T any](opts PoolOpts) *Pool[T] {
 	maxProcs := opts.MaxProcs
 	if maxProcs <= 0 {
 		maxProcs = pid.DefaultMaxProcs
 	}
-	shift := opts.ChunkShift
-	if shift == 0 {
-		shift = defaultChunkShift
-	}
-	if shift < 6 { // no smaller than one transfer block
-		shift = 6
-	}
+	shift := chunkShiftFor[T]()
 	p := &Pool[T]{
 		nextFresh:  1, // index 0 reserved so Handle(0) is unambiguously nil
 		local:      make([]procCache, maxProcs),
@@ -284,6 +285,18 @@ func NewPoolWith[T any](opts PoolOpts) *Pool[T] {
 		}, true
 	})
 	return p
+}
+
+// chunkShiftFor returns log2 of a full chunk's slot count for slots of
+// type T: the largest power of two whose slots fit in fullChunkBytes, and
+// never less than one block.
+func chunkShiftFor[T any]() uint {
+	size := uint64(unsafe.Sizeof(slot[T]{}))
+	shift := uint(blockShift)
+	for size<<(shift+1) <= fullChunkBytes {
+		shift++
+	}
+	return shift
 }
 
 // slotFor resolves an index to its slot. The caller must know the index is
@@ -541,15 +554,26 @@ func taggedHead(old, idx uint64) uint64 {
 
 // carveBlock carves up to blockSize fresh indices out of chunk capacity
 // (respecting any configured cap) and returns them as a magazine. This is
-// the only allocator path that takes a lock: growMu serializes growth of
-// nextFresh and the chunk directory.
+// the only allocator path that takes a lock: growMu serializes carving
+// and growth of the chunk directory. When the current chunk is shorter
+// than its index range and full, carving resumes at the next chunk's
+// first index.
 func (p *Pool[T]) carveBlock() (magazine, bool) {
 	var m magazine
 	p.growMu.Lock()
-	for m.count < blockSize && (p.capSlots == 0 || p.nextFresh-1 < p.capSlots) {
+	for m.count < blockSize && (p.capSlots == 0 || p.carved < p.capSlots) {
 		idx := p.nextFresh
-		p.nextFresh++
-		p.ensureCapacityLocked(idx)
+		k := idx >> p.chunkShift
+		chunks := *p.chunks.Load()
+		if k < uint64(len(chunks)) && idx&p.chunkMask == uint64(len(chunks[k].slots)) {
+			k++
+			idx = k << p.chunkShift
+		}
+		if k == uint64(len(chunks)) {
+			p.addChunkLocked(idx)
+		}
+		p.nextFresh = idx + 1
+		p.carved++
 		s := p.slotFor(idx)
 		s.hdr.state.Store(stateFree)
 		s.hdr.nextFree = m.head
@@ -558,6 +582,28 @@ func (p *Pool[T]) carveBlock() (magazine, bool) {
 	}
 	p.growMu.Unlock()
 	return m, m.count > 0
+}
+
+// addChunkLocked appends the chunk whose first carved index is first.
+// Chunk k holds min(blockSize<<k, 1<<chunkShift) slots, so capacity
+// grows in proportion to what has been carved; under a cap it holds no
+// more than the slots still uncarved. Caller holds growMu. The directory
+// is replaced wholesale so concurrent readers can keep indexing the old
+// copy without locks.
+func (p *Pool[T]) addChunkLocked(first uint64) {
+	k := first >> p.chunkShift
+	n := uint64(1) << p.chunkShift
+	if k < uint64(p.chunkShift-blockShift) {
+		n = blockSize << k
+	}
+	if p.capSlots != 0 {
+		n = min(n, first&p.chunkMask+p.capSlots-p.carved)
+	}
+	cur := *p.chunks.Load()
+	grown := make([]*chunk[T], len(cur)+1)
+	copy(grown, cur)
+	grown[len(cur)] = &chunk[T]{slots: make([]slot[T], n)}
+	p.chunks.Store(&grown)
 }
 
 // shuffleMagazine permutes m's chain with a splitmix64 Fisher-Yates,
@@ -622,23 +668,6 @@ func (p *Pool[T]) FreeListLen(procID int) int {
 	return int(p.local[procID].n.Load())
 }
 
-// ensureCapacityLocked grows the chunk directory so that idx is
-// addressable. Caller holds growMu. The directory is replaced wholesale so
-// concurrent readers can keep indexing the old copy without locks.
-func (p *Pool[T]) ensureCapacityLocked(idx uint64) {
-	need := int(idx>>p.chunkShift) + 1
-	cur := *p.chunks.Load()
-	if len(cur) >= need {
-		return
-	}
-	grown := make([]*chunk[T], need, max(need, 2*len(cur)))
-	copy(grown, cur)
-	for i := len(cur); i < need; i++ {
-		grown[i] = &chunk[T]{slots: make([]slot[T], 1<<p.chunkShift)}
-	}
-	p.chunks.Store(&grown)
-}
-
 // Stats returns a snapshot of the pool's counters. Live and the occupancy
 // gauges can transiently disagree with a concurrent workload's own
 // accounting (a block in flight between a magazine and the global stack is
@@ -652,12 +681,7 @@ func (p *Pool[T]) Stats() Stats {
 		local += int(p.local[i].n.Load())
 	}
 	p.growMu.Lock()
-	// nextFresh is 1 on a fresh pool (index 0 reserved) but 0 on a zero
-	// Pool that was never NewPool'd; guard the -1 against underflow.
-	slots := p.nextFresh
-	if slots > 0 {
-		slots--
-	}
+	slots := p.carved
 	capSlots := p.capSlots
 	p.growMu.Unlock()
 	return Stats{

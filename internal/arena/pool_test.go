@@ -111,10 +111,18 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
+// growthSlots is enough slots to run p through its whole carving ramp
+// (chunks of 64, 128, ... up to the full chunk) and then past two full
+// chunks, ending 17 slots into a third.
+func growthSlots[T any](p *Pool[T]) int {
+	full := 1 << p.chunkShift
+	return (2*full - blockSize) + 2*full + 17
+}
+
 func TestHandlesAreDistinctWhileLive(t *testing.T) {
 	p := NewPool[payload](1)
 	seen := map[Handle]bool{}
-	for i := 0; i < 10*(1<<defaultChunkShift)/4; i++ {
+	for i := 0; i < growthSlots(p); i++ {
 		h := p.Alloc(0)
 		if seen[h] {
 			t.Fatalf("duplicate live handle %#x", uint64(h))
@@ -125,7 +133,8 @@ func TestHandlesAreDistinctWhileLive(t *testing.T) {
 
 func TestCrossChunkGrowth(t *testing.T) {
 	p := NewPool[uint64](1)
-	n := (1<<defaultChunkShift)*2 + 17
+	p.DebugChecks = true
+	n := growthSlots(p)
 	hs := make([]Handle, n)
 	for i := range hs {
 		hs[i] = p.Alloc(0)
@@ -136,8 +145,8 @@ func TestCrossChunkGrowth(t *testing.T) {
 			t.Fatalf("slot %d: got %d", i, got)
 		}
 	}
-	if st := p.Stats(); st.Slots < uint64(n) {
-		t.Fatalf("Slots = %d, want >= %d", st.Slots, n)
+	if st := p.Stats(); st.Slots < uint64(n) || st.Slots >= uint64(n+blockSize) {
+		t.Fatalf("Slots = %d, want the %d allocated rounded up to a block", st.Slots, n)
 	}
 }
 

@@ -134,7 +134,8 @@ func TestByteMapScan(t *testing.T) {
 // any slab recycled under a mid-copy reader panics.
 func TestByteMapConcurrentChurn(t *testing.T) {
 	const procs = 4
-	h := newByteTable(t, 64, procs, true)
+	// One pid per worker plus one for the scanning goroutine below.
+	h := newByteTable(t, 64, procs+1, true)
 	const keys = 64
 	var stop atomic.Bool
 	var wg sync.WaitGroup

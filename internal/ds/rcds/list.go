@@ -199,15 +199,18 @@ retry:
 		curSnap, curRc := t.read(head)
 		pos.curSnap, pos.curRc = curSnap, curRc
 		for {
-			cur := pos.cur()
-			if cur.IsNil() {
-				return pos
-			}
 			// A marked word here means the node owning prevLink was
 			// deleted between our validation and this read: restart.
+			// Check before the end-of-list test: a marked nil must not
+			// end the search, or an insert's CAS expecting that marked
+			// word would link past (and unmark) a deleted node.
+			cur := pos.cur()
 			if cur.Marks() != 0 {
 				t.releasePos(&pos)
 				continue retry
+			}
+			if cur.IsNil() {
+				return pos
 			}
 			curN := t.deref(pos.curSnap, pos.curRc)
 			nextW := curN.next.LoadRaw()

@@ -199,3 +199,55 @@ func TestListMemoryBounded(t *testing.T) {
 		}
 	})
 }
+
+// TestEagerListKeepsKeys pins the search's restart on a marked nil. In
+// eager mode (counted references, no snapshots) the position keeps the
+// marks of the word it read, so a search that stopped at a deleted last
+// node's marked-nil successor handed insert a CAS that expected exactly
+// that marked word: the new node was linked past a deleted node (and
+// the deletion mark cleared), losing or resurrecting keys. Few keys and
+// many short rounds make the window common.
+func TestEagerListKeepsKeys(t *testing.T) {
+	const keyRange = 8
+	for round := 0; round < 400; round++ {
+		s := NewList(5, false)
+		s.base.dom.EnableDebugChecks()
+		insOK := make([]atomic.Int64, keyRange)
+		delOK := make([]atomic.Int64, keyRange)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				th := s.Attach()
+				defer th.Detach()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < 300; i++ {
+					k := uint64(rng.Int63n(keyRange))
+					switch rng.Intn(10) {
+					case 0, 1, 2:
+						if th.Insert(k) {
+							insOK[k].Add(1)
+						}
+					case 3, 4, 5:
+						if th.Delete(k) {
+							delOK[k].Add(1)
+						}
+					default:
+						th.Contains(k)
+					}
+				}
+			}(int64(round*10 + w + 1))
+		}
+		wg.Wait()
+		th := s.Attach()
+		for k := uint64(0); k < keyRange; k++ {
+			net := insOK[k].Load() - delOK[k].Load()
+			if got := th.Contains(k); (net != 0 && net != 1) || got != (net == 1) {
+				t.Fatalf("round %d key %d: Contains = %v after %d successful inserts and %d deletes",
+					round, k, got, insOK[k].Load(), delOK[k].Load())
+			}
+		}
+		th.Detach()
+	}
+}

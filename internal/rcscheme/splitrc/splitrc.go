@@ -4,17 +4,23 @@
 // pointers.
 //
 // Each atomic cell packs an external counter next to the object handle in
-// one word. A reader bumps the external count with a CAS to pin the object,
-// converts to a durable reference by incrementing the object's internal
-// count, and then reconciles: it returns the external unit with another CAS
-// if the cell still holds the object, or decrements the internal count if a
-// writer has swapped the cell out (the writer transfers all outstanding
-// external units into the internal count at swap time). The invariant is
+// one word. As in Folly's atomic_shared_ptr, the cell pre-pays its
+// readers: publishing an object into a cell adds a batch of cellBatch
+// units to the object's internal count, and a reader takes one of them -
+// a durable reference - by bumping the cell word's external count with a
+// single CAS. Swapping the object out of the cell returns the units no
+// reader took (cellBatch - external). The invariant is
 //
-//	true count = internal + Σ external counts of cells holding the object,
+//	internal = Σ durable references + Σ links from other objects
+//	         + Σ over cells holding the object of (cellBatch - external),
 //
-// and an object is freed when its internal count reaches zero after the
-// last holding cell is gone.
+// so the internal count only ever falls by units someone owned: it stays
+// positive while any cell, link or reader holds the object, and reaches
+// zero exactly once. A reader that finds half the batch taken tops it up.
+// (Splitting the count the other way - readers pin, then add a durable
+// unit and give the pin back, while a writer transfers outstanding pins
+// at swap time - lets a give-back land before the writer's transfer and
+// drive the count to zero under a live reader.)
 //
 // Two flavours are provided, mirroring the paper's comparison:
 //
@@ -48,6 +54,14 @@ const (
 	handleBits = 44
 	handleMask = 1<<handleBits - 1
 	extUnit    = 1 << handleBits
+
+	// cellBatch is the number of internal units a cell pre-pays for its
+	// readers. Each load takes one by bumping the cell word's external
+	// count, which must stay below cellBatch (and within its 20 bits):
+	// the reader that takes unit refillAt or later moves refillAt more
+	// units into the batch.
+	cellBatch = 1 << 19
+	refillAt  = cellBatch / 2
 )
 
 func pack(ext uint64, h arena.Handle) uint64 {
@@ -172,10 +186,10 @@ func (s *Scheme) teardownStacks() {
 }
 
 // releaseCellWord applies the swap-out accounting for a removed cell word:
-// transfer the outstanding external units into the internal count and
-// release the cell's own unit, i.e. internal += ext - 1.
+// the cell returns the units of its batch that no reader took, i.e.
+// internal -= cellBatch - ext.
 func (s *Scheme) releaseCellWord(procID int, w uint64, dec func(int, arena.Handle, int64)) {
-	dec(procID, handleOf(w), int64(extOf(w))-1)
+	dec(procID, handleOf(w), int64(extOf(w))-cellBatch)
 }
 
 // decObj adjusts an object's internal count by delta, freeing at zero.
@@ -218,9 +232,9 @@ type thread struct {
 // Detach implements rcscheme.Thread.
 func (t *thread) Detach() { t.s.reg.Release(t.pid) }
 
-// acquire pins the object in c with an external-count bump and converts to
-// a durable internal reference, reconciling the external unit. Returns the
-// nil handle if the cell is empty.
+// acquire takes a durable reference to the object in c: one CAS moves a
+// unit of the cell's pre-paid batch to the caller. Returns the nil handle
+// if the cell is empty.
 func (t *thread) acquire(c *cell, hdrOf func(arena.Handle) *arena.Header, dec func(int, arena.Handle, int64)) arena.Handle {
 	s := t.s
 	for {
@@ -232,20 +246,32 @@ func (t *thread) acquire(c *cell, hdrOf func(arena.Handle) *arena.Header, dec fu
 		if !s.cas(c, w, w+extUnit) {
 			continue
 		}
-		// Durable unit.
-		hdrOf(h).RefCount.Add(1)
-		// Reconcile the in-flight external unit.
-		for {
-			w2 := c.w.Load()
-			if handleOf(w2) != h {
-				// A writer swapped the cell and transferred our external
-				// unit into the internal count; give that transfer back.
-				dec(t.pid, h, -1)
-				return h
-			}
-			if s.cas(c, w2, w2-extUnit) {
-				return h
-			}
+		if extOf(w)+1 >= refillAt {
+			t.refill(c, h, hdrOf, dec)
+		}
+		return h
+	}
+}
+
+// refill tops up the batch of the cell that held h when the caller took
+// unit refillAt or later: it adds refillAt units to h's internal count
+// and takes them off the cell word's external count. The caller holds a
+// unit of h, so h cannot be freed meanwhile. If the cell moved on, or
+// another reader refilled first, the swap-out or that reader has settled
+// the batch and the added units are taken back. (If h has come back to
+// the cell - a stack head whose successor was popped - the units simply
+// join its new batch.)
+func (t *thread) refill(c *cell, h arena.Handle, hdrOf func(arena.Handle) *arena.Header, dec func(int, arena.Handle, int64)) {
+	s := t.s
+	hdrOf(h).RefCount.Add(refillAt)
+	for {
+		w := c.w.Load()
+		if handleOf(w) != h || extOf(w) < refillAt {
+			dec(t.pid, h, -refillAt)
+			return
+		}
+		if s.cas(c, w, w-refillAt*extUnit) {
+			return
 		}
 	}
 }
@@ -271,7 +297,7 @@ func (t *thread) Store(i int, val uint64) {
 		obsAllocDrop.Inc(t.pid)
 		return
 	}
-	s.objs.Hdr(h).RefCount.Store(1) // creator's unit becomes the cell's
+	s.objs.Hdr(h).RefCount.Store(cellBatch) // the cell's pre-paid batch
 	obj := s.objs.Get(h)
 	for w := range obj.V {
 		obj.V[w] = val
@@ -292,19 +318,30 @@ func (s *Scheme) SetupStacks(nstacks int, init [][]rcscheme.StackValue) {
 	for j := range init {
 		for _, v := range init[j] {
 			n := s.nodes.Alloc(p)
-			s.nodes.Hdr(n).RefCount.Store(1)
+			s.nodes.Hdr(n).RefCount.Store(cellBatch)
 			nd := s.nodes.Get(n)
 			nd.v = v
-			nd.next = handleOf(s.stacks[j].w.Load())
+			old := s.stacks[j].w.Load()
+			nd.next = handleOf(old)
 			s.stacks[j].w.Store(pack(0, n))
+			s.linkOldHead(p, old)
 		}
 	}
 	s.reg.Release(p)
 }
 
+// linkOldHead settles a head word that a new node has just replaced: the
+// new node's next link takes one unit of the old head, and the cell
+// returns the rest of its batch. The link's unit keeps the count positive.
+func (s *Scheme) linkOldHead(procID int, w uint64) {
+	if h := handleOf(w); !h.IsNil() {
+		s.decNode(procID, h, 1+int64(extOf(w))-cellBatch)
+	}
+}
+
 // Push implements rcscheme.StackThread. The full-word CAS validates that
-// neither the head handle nor its external count changed, so the head word
-// (with its outstanding units) transfers intact into n.next's accounting.
+// neither the head handle nor its external count changed, so the head
+// word's batch settles exactly (linkOldHead).
 func (t *thread) Push(j int, v rcscheme.StackValue) {
 	s := t.s
 	c := &s.stacks[j]
@@ -313,18 +350,14 @@ func (t *thread) Push(j int, v rcscheme.StackValue) {
 		obsAllocDrop.Inc(t.pid)
 		return
 	}
-	s.nodes.Hdr(n).RefCount.Store(1) // becomes the head cell's unit
+	s.nodes.Hdr(n).RefCount.Store(cellBatch) // the head cell's pre-paid batch
 	nd := s.nodes.Get(n)
 	nd.v = v
 	for {
 		w := c.w.Load()
 		nd.next = handleOf(w)
 		if s.cas(c, w, pack(0, n)) {
-			// n.next takes over the cell's unit of the old head; the
-			// outstanding external units transfer to internal.
-			if h := handleOf(w); !h.IsNil() && extOf(w) > 0 {
-				s.decNode(t.pid, h, int64(extOf(w)))
-			}
+			s.linkOldHead(t.pid, w)
 			return
 		}
 	}
@@ -342,21 +375,21 @@ func (t *thread) Pop(j int) (rcscheme.StackValue, bool) {
 		next := s.nodes.Get(h).next
 		w := c.w.Load()
 		for handleOf(w) == h {
-			// The cell's new reference to next: bump its internal count
-			// first (safe: h is alive and h.next holds a unit).
+			// Pre-pay the cell's batch for next before publishing it
+			// (safe: h is alive and h.next holds a unit).
 			if !next.IsNil() {
-				s.nodes.Hdr(next).RefCount.Add(1)
+				s.nodes.Hdr(next).RefCount.Add(cellBatch)
 			}
 			if s.cas(c, w, pack(0, next)) {
-				// Transfer outstanding external units of the popped word
-				// and release the cell's unit of h.
+				// The cell returns the untaken rest of h's batch; h's own
+				// link to next is released when h dies.
 				s.releaseCellWord(t.pid, w, s.decNode)
 				v := s.nodes.Get(h).v
 				s.decNode(t.pid, h, -1) // our durable unit
 				return v, true
 			}
 			if !next.IsNil() {
-				s.decNode(t.pid, next, -1)
+				s.decNode(t.pid, next, -cellBatch)
 			}
 			w = c.w.Load()
 		}

@@ -1,6 +1,7 @@
 package splitrc
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +63,95 @@ func TestSequentialAccounting(t *testing.T) {
 		t.Fatalf("Live = %d, want 4 (one per cell)", live)
 	}
 	th.Detach()
+	s.Teardown()
+	if live := s.Live(); live != 0 {
+		t.Fatalf("Live = %d after teardown", live)
+	}
+}
+
+// TestConcurrentLoadStoreNoEarlyFree pins the pre-paid batch protocol
+// under contention: loaders on few cells race writers swapping them out.
+// The count must never reach zero while a reader holds the object
+// (DebugChecks turns that into a use-after-free or double-free panic), and
+// teardown must free everything. A reader that took a durable unit and
+// then gave its pin back could land the give-back before the writer's
+// transfer of outstanding pins and free a live object.
+func TestConcurrentLoadStoreNoEarlyFree(t *testing.T) {
+	for _, mk := range []func(int) *Scheme{NewFolly, NewJustThread} {
+		for round := 0; round < 20; round++ {
+			s := mk(8)
+			s.EnableDebugChecks()
+			s.Setup(10)
+			th := s.Attach()
+			for i := 0; i < 10; i++ {
+				th.Store(i, uint64(i)|1)
+			}
+			th.Detach()
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					th := s.Attach()
+					defer th.Detach()
+					r := uint64(id)*0x9E3779B97F4A7C15 + uint64(round)
+					for k := 0; k < 2000; k++ {
+						r = r*6364136223846793005 + 1442695040888963407
+						i := int(r>>40) % 10
+						if (r>>20)%100 < 30 {
+							th.Store(i, r|1)
+						} else if v := th.Load(i); v&1 == 0 {
+							t.Errorf("Load(%d) = %#x: not a stored value", i, v)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if live := s.Live(); live != 10 {
+				t.Fatalf("%s round %d: Live = %d at quiescence, want 10 (one per cell)", s.Name(), round, live)
+			}
+			s.Teardown()
+			if live := s.Live(); live != 0 {
+				t.Fatalf("%s round %d: Live = %d after teardown", s.Name(), round, live)
+			}
+		}
+	}
+}
+
+// TestBatchRefillAccounting drives one cell's batch through several
+// refills with concurrent loaders and checks the exact invariant at
+// quiescence: the object's internal count is the cell's untaken batch.
+func TestBatchRefillAccounting(t *testing.T) {
+	s := NewFolly(4)
+	s.EnableDebugChecks()
+	s.Setup(1)
+	th := s.Attach()
+	th.Store(0, 7)
+	th.Detach()
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := s.Attach()
+			defer th.Detach()
+			for k := 0; k < refillAt; k++ {
+				if v := th.Load(0); v != 7 {
+					t.Errorf("Load = %d, want 7", v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	w := s.cells[0].w.Load()
+	if got, want := s.objs.Hdr(handleOf(w)).RefCount.Load(), int64(cellBatch-extOf(w)); got != want {
+		t.Fatalf("internal count %d, want untaken batch %d (ext %d)", got, want, extOf(w))
+	}
+	if extOf(w) >= refillAt {
+		t.Fatalf("ext %d not below refillAt %d after 3x refillAt loads", extOf(w), refillAt)
+	}
 	s.Teardown()
 	if live := s.Live(); live != 0 {
 		t.Fatalf("Live = %d after teardown", live)

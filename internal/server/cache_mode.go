@@ -14,12 +14,13 @@ import (
 // crash/abandon/respawn protocol, and the completion accounting are the
 // one worker loop's.
 
-// execCache runs one request against the worker's cache shard. PUT and
-// SETEX absorb arena backpressure inside SetEx (synchronous eviction
-// with bounded retries); only a dry eviction index lets the arena error
-// through, and then as -ERR — never -BUSY — so load harnesses can gate
-// on busy.arena == 0 in cache mode.
-func (s *Server) execCache(h *collections.CacheHandle, sl *slot) {
+// execCache runs one request (or, for SCAN, this shard's share of one)
+// against the worker's cache shard. PUT and SETEX absorb arena
+// backpressure inside SetEx (synchronous eviction with bounded retries);
+// only a dry eviction index lets the arena error through, and then as
+// -ERR — never -BUSY — so load harnesses can gate on busy.arena == 0 in
+// cache mode.
+func (s *Server) execCache(h *collections.CacheHandle, shard int, sl *slot) {
 	ttl := time.Duration(sl.ts) * time.Millisecond
 	switch sl.op {
 	case opGet:
@@ -65,13 +66,13 @@ func (s *Server) execCache(h *collections.CacheHandle, sl *slot) {
 			sl.static = lineDel0
 		}
 	case opScan:
-		seg := sl.scan.segs[sl.shard][:0]
+		seg := sl.scan.segs[shard][:0]
 		n := h.Scan(sl.limit, func(k uint64, v []byte) bool {
 			seg = appendRow(seg, k, v)
 			return true
 		})
-		sl.scan.segs[sl.shard] = seg
-		sl.scan.ns[sl.shard] = n
+		sl.scan.segs[shard] = seg
+		sl.scan.ns[shard] = n
 	}
 }
 

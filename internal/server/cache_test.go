@@ -148,3 +148,50 @@ func TestServerCachePutNeverBusyUnderCap(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCacheModeScanAllShards pins the cache-mode SCAN fan-out: each
+// shard's worker renders its share into its own segment, so a SCAN with
+// room for every row returns the rows of every shard. The regression it
+// guards had every worker write the slot's stale shard index, which the
+// race detector reports and which left at most one shard's rows.
+func TestCacheModeScanAllShards(t *testing.T) {
+	const shards, keys = 4, 120
+	s, cl := newCacheServer(t, Config{Shards: shards, Workers: shards, ExpectedKeys: 1 << 10})
+	defer s.Close()
+	defer cl.Close()
+
+	for k := uint64(0); k < keys; k++ {
+		if _, _, err := cl.SetEx(k, tb(k), 0); err != nil {
+			t.Fatalf("SETEX %d: %v", k, err)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		ents, err := cl.Scan(1000)
+		if err != nil {
+			t.Fatalf("SCAN: %v", err)
+		}
+		seen := map[uint64]bool{}
+		var perShard [shards]int
+		for _, e := range ents {
+			if seen[e.Key] {
+				t.Fatalf("SCAN returned key %d twice", e.Key)
+			}
+			seen[e.Key] = true
+			if bu(e.Val) != e.Key {
+				t.Fatalf("SCAN row %d carries value %d", e.Key, bu(e.Val))
+			}
+			perShard[KeyShard(e.Key, shards)]++
+		}
+		if len(ents) != keys {
+			t.Fatalf("SCAN returned %d rows, want %d (per shard %v)", len(ents), keys, perShard)
+		}
+		for sh, n := range perShard {
+			if n == 0 {
+				t.Fatalf("SCAN returned no rows from shard %d (per shard %v)", sh, perShard)
+			}
+		}
+	}
+	if err := s.CheckCacheIdentity(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1313,7 +1313,7 @@ func (x mapExec) exec(s *Server, procID, shard int, sl *slot) { s.exec(x.MapHand
 
 type cacheExec struct{ *collections.CacheHandle }
 
-func (x cacheExec) exec(s *Server, _, _ int, sl *slot) { s.execCache(x.CacheHandle, sl) }
+func (x cacheExec) exec(s *Server, _, shard int, sl *slot) { s.execCache(x.CacheHandle, shard, sl) }
 
 // workerSession attaches one handle to this worker's shard and serves
 // that shard's queue, one batch at a time and one slot at a time within

@@ -14,7 +14,8 @@ import (
 // TryPut and Free and the batch exceeds the per-processor magazines, so
 // each cycle drives the block-transfer path of that class's arena. The
 // size sweep covers a small class, a mid class, the largest inline
-// class, and the chunk-chain overflow path (4 chunks per value).
+// class, and the overflow chain (4 head chunks and a 32 B tail per
+// value).
 func BenchmarkValsChurn(b *testing.B) {
 	for _, size := range []int{16, 256, 4096, 16384} {
 		for _, procs := range []int{1, 4, 8} {

@@ -8,10 +8,12 @@
 // announced the word can never observe recycled slab bytes.
 //
 // Classes are the powers of two from 16B to 4KiB. Larger values (up to
-// MaxLen) take the overflow path: a chain of 4KiB chunks, each chunk's
-// first 8 bytes linking to the next chunk's handle word. A chain is
-// addressed by one Ref (class 15) and allocated/freed as a unit, so
-// ownership and announcement protection of the Ref covers every chunk.
+// MaxLen) take the overflow path: a run of 4KiB head chunks, each
+// holding 4,088 value bytes after an 8-byte link word that is the Ref
+// of the rest of the value, ending in an inline-class slab sized to
+// what is left. A chain is addressed by one Ref (class 15) and
+// allocated/freed as a unit, so ownership and announcement protection
+// of the Ref covers every slab in it.
 //
 // Only this package may touch slab bytes (scripts/check.sh lints the
 // boundary): callers move bytes exclusively through Put/TryPut (copy in)
@@ -50,7 +52,8 @@ const (
 	// MaxLen is the largest storable value (the 22-bit length budget).
 	MaxLen = 1<<refLenBits - 1
 
-	// chainClass marks an overflow chain of maxClassSize-byte chunks.
+	// chainClass marks an overflow chain: a maxClassSize-byte head chunk
+	// whose link word is the Ref of the remainder.
 	chainClass = 0xF
 
 	// minClassShift..maxClassShift span the inline classes: 16B..4KiB.
@@ -63,8 +66,9 @@ const (
 	// maxClassSize is the largest inline class (and the overflow chunk).
 	maxClassSize = 1 << maxClassShift
 
-	// chainLinkBytes leads every overflow chunk: the next chunk's handle
-	// word (0 terminates), leaving chainPayload bytes of value data.
+	// chainLinkBytes leads every head chunk: the Ref of the remainder
+	// (another chain, or the inline-class tail), leaving chainPayload
+	// bytes of value data.
 	chainLinkBytes = 8
 	chainPayload   = maxClassSize - chainLinkBytes
 )
@@ -77,16 +81,17 @@ const (
 var chaosInflight = chaos.New("vals.put.inflight")
 
 // Observability counters. At quiescence vals.alloc - vals.free equals
-// the summed live slots of every class (Pool.Live); chained counts each
-// chunk once.
+// the summed live slots of every class (Pool.Live); a chain counts each
+// head chunk and its tail once.
 var (
 	obsValAlloc = obs.NewCounter("vals.alloc")
 	obsValFree  = obs.NewCounter("vals.free")
 
 	// Per-class slab traffic under vals.class.<slot>.alloc/.free;
-	// overflow-chain chunks tally on vals.class.chain.* once per chunk
-	// (they are carved from the largest class's pool but billed to the
-	// chain so class-8 numbers stay single-slab).
+	// overflow-chain head chunks tally on vals.class.chain.* once per
+	// chunk (they are carved from the largest class's pool but billed to
+	// the chain so class-8 numbers stay single-slab), and a chain's tail
+	// on its own class.
 	obsClassAlloc = classCounters("alloc")
 	obsClassFree  = classCounters("free")
 
@@ -169,17 +174,10 @@ func (c *cls[T]) setDebug(on bool)                          { c.p.DebugChecks = 
 func (c *cls[T]) stats() arena.Stats                        { return c.p.Stats() }
 
 func newCls[T any](name string, class int, procs int, sl func(*T) []byte) *cls[T] {
-	// Chunk shift per class so one chunk stays around 1MiB of payload:
-	// 16B slots carve 8192 at a time, 4KiB slots 256 at a time.
-	shift := uint(21 - (minClassShift + class))
-	if shift > 13 {
-		shift = 13
-	}
 	return &cls[T]{
 		p: arena.NewPoolWith[T](arena.PoolOpts{
-			MaxProcs:   procs,
-			Name:       fmt.Sprintf("%s.c%04d", name, ClassSize(class)),
-			ChunkShift: shift,
+			MaxProcs: procs,
+			Name:     fmt.Sprintf("%s.c%04d", name, ClassSize(class)),
 		}),
 		sl: sl,
 	}
@@ -262,7 +260,7 @@ func (p *Pool) EnableDebugChecks() {
 	}
 }
 
-// TryPut copies val into a freshly allocated slab (or chunk chain) and
+// TryPut copies val into a freshly allocated slab (or chain) and
 // returns its Ref word. Zero-length values return Ref 0 without
 // allocating. A non-nil error wraps arena.ErrExhausted (backpressure:
 // nothing was allocated). The returned ref is owned by the caller until
@@ -289,64 +287,51 @@ func (p *Pool) TryPut(procID int, val []byte) (uint64, error) {
 }
 
 // putChain allocates an overflow chain for a value wider than the
-// largest class: chunks are drawn from the largest class pool and linked
-// through their leading 8 bytes. All-or-nothing: a mid-chain allocation
-// failure frees what was built and reports backpressure.
+// largest class. It builds the chain back to front: first the tail, an
+// inline slab holding the last 9..4096 bytes, then each head chunk,
+// whose link word is the Ref of the suffix built so far. All-or-nothing:
+// a failed allocation frees that suffix and reports backpressure.
 func (p *Pool) putChain(procID int, val []byte) (uint64, error) {
-	cp := p.classes[NumClasses-1]
-	first, err := cp.tryAlloc(procID)
+	heads := (len(val) - maxClassSize + chainPayload - 1) / chainPayload
+	ref, err := p.TryPut(procID, val[heads*chainPayload:])
 	if err != nil {
 		return 0, err
 	}
-	obsValAlloc.Inc(procID)
-	obsClassAlloc[NumClasses].Inc(procID)
-	cur := cp.bytes(first)
-	binary.LittleEndian.PutUint64(cur, 0)
-	rest := val[copy(cur[chainLinkBytes:], val):]
-	prev := cur
-	for len(rest) > 0 {
+	cp := p.classes[NumClasses-1]
+	for i := heads - 1; i >= 0; i-- {
 		h, err := cp.tryAlloc(procID)
 		if err != nil {
-			p.freeChain(procID, first)
+			p.Free(procID, ref)
 			return 0, err
 		}
 		obsValAlloc.Inc(procID)
 		obsClassAlloc[NumClasses].Inc(procID)
-		cur = cp.bytes(h)
-		binary.LittleEndian.PutUint64(cur, 0)
-		binary.LittleEndian.PutUint64(prev, uint64(h))
-		rest = rest[copy(cur[chainLinkBytes:], rest):]
-		prev = cur
+		b := cp.bytes(h)
+		binary.LittleEndian.PutUint64(b, ref)
+		copy(b[chainLinkBytes:], val[i*chainPayload:])
+		ref = pack(chainClass, h, len(val)-i*chainPayload)
 	}
-	return pack(chainClass, first, len(val)), nil
+	return ref, nil
 }
 
-// Free returns ref's slab (or whole chunk chain) to procID's magazines.
-// Legal only for a ref no reader can still be protecting: an unpublished
-// ref, a finalizer running at count zero, or a word ejected from the
-// retire pipeline. Ref 0 is a no-op.
+// Free returns ref's slab (or every slab of its chain, following the
+// link Refs) to procID's magazines. Legal only for a ref no reader can
+// still be protecting: an unpublished ref, a finalizer running at count
+// zero, or a word ejected from the retire pipeline. Ref 0 is a no-op.
 func (p *Pool) Free(procID int, ref uint64) {
-	if ref == 0 {
-		return
-	}
-	class, h, _ := unpack(ref)
-	if class == chainClass {
-		p.freeChain(procID, h)
-		return
-	}
-	p.classes[class].free(procID, h)
-	obsValFree.Inc(procID)
-	obsClassFree[class].Inc(procID)
-}
-
-func (p *Pool) freeChain(procID int, h arena.Handle) {
-	cp := p.classes[NumClasses-1]
-	for !h.IsNil() {
-		next := arena.Handle(binary.LittleEndian.Uint64(cp.bytes(h)))
+	for ref != 0 {
+		class, h, _ := unpack(ref)
+		if class != chainClass {
+			p.classes[class].free(procID, h)
+			obsValFree.Inc(procID)
+			obsClassFree[class].Inc(procID)
+			return
+		}
+		cp := p.classes[NumClasses-1]
+		ref = binary.LittleEndian.Uint64(cp.bytes(h))
 		cp.free(procID, h)
 		obsValFree.Inc(procID)
 		obsClassFree[NumClasses].Inc(procID)
-		h = next
 	}
 }
 
@@ -357,19 +342,15 @@ func (p *Pool) AppendTo(dst []byte, ref uint64) []byte {
 	if ref == 0 {
 		return dst
 	}
-	class, h, n := unpack(ref)
-	if class == chainClass {
-		cp := p.classes[NumClasses-1]
-		for n > 0 {
-			b := cp.bytes(h)
-			take := min(n, chainPayload)
-			dst = append(dst, b[chainLinkBytes:chainLinkBytes+take]...)
-			n -= take
-			h = arena.Handle(binary.LittleEndian.Uint64(b))
+	for {
+		class, h, n := unpack(ref)
+		if class != chainClass {
+			return append(dst, p.classes[class].bytes(h)[:n]...)
 		}
-		return dst
+		b := p.classes[NumClasses-1].bytes(h)
+		dst = append(dst, b[chainLinkBytes:]...)
+		ref = binary.LittleEndian.Uint64(b)
 	}
-	return append(dst, p.classes[class].bytes(h)[:n]...)
 }
 
 // SetInflight parks a freshly allocated, not-yet-published ref in
@@ -410,7 +391,8 @@ func (p *Pool) Adopt(procID int) {
 }
 
 // Live returns the number of live slab slots summed over all classes
-// (chains count each chunk). Zero at quiescent teardown.
+// (a chain counts each head chunk and its tail). Zero at quiescent
+// teardown.
 func (p *Pool) Live() int64 {
 	var n int64
 	for _, c := range p.classes {

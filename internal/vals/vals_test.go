@@ -181,3 +181,141 @@ func TestAllocsPerRunSteadyState(t *testing.T) {
 		t.Fatalf("copy-out mismatch")
 	}
 }
+
+// classLive returns every inline class's live slot count.
+func classLive(p *Pool) [NumClasses]int64 {
+	var out [NumClasses]int64
+	for c := range out {
+		out[c] = p.ClassStats(c).Live
+	}
+	return out
+}
+
+// TestChainTailRoundTrip covers the sizes where a chain's shape changes:
+// the largest inline value, one head chunk plus a 9-byte tail, one head
+// chunk plus a full 4KiB tail, two head chunks plus a 9-byte tail, and
+// MaxLen. Each round trip must free every slab.
+func TestChainTailRoundTrip(t *testing.T) {
+	p := New(Config{MaxProcs: 2, DebugChecks: true})
+	for _, n := range []int{4096, 4097, 8184, 8185, MaxLen} {
+		v := mkval(n)
+		ref, err := p.TryPut(0, v)
+		if err != nil {
+			t.Fatalf("TryPut(%d bytes): %v", n, err)
+		}
+		if Len(ref) != n {
+			t.Fatalf("Len = %d, want %d", Len(ref), n)
+		}
+		heads := 0
+		if n > maxClassSize {
+			heads = (n - maxClassSize + chainPayload - 1) / chainPayload
+		}
+		if got := p.Live(); got != int64(heads+1) {
+			t.Fatalf("%d bytes: %d slabs live, want %d head chunks + 1 tail", n, got, heads)
+		}
+		if got := p.AppendTo([]byte("x"), ref); !bytes.Equal(got[1:], v) || got[0] != 'x' {
+			t.Fatalf("round trip of %d bytes: mismatch (%d bytes back)", n, len(got)-1)
+		}
+		p.Free(1, ref)
+		if live := p.Live(); live != 0 {
+			t.Fatalf("%d bytes: Live = %d after Free", n, live)
+		}
+	}
+}
+
+// TestChainTailClass checks that for every value needing exactly one
+// head chunk (4,097..8,184 bytes) the tail lands in the class
+// ClassOf(n-4088) predicts, next to one head chunk in the 4KiB class.
+func TestChainTailClass(t *testing.T) {
+	p := New(Config{MaxProcs: 1, DebugChecks: true})
+	for n := maxClassSize + 1; n <= maxClassSize+chainPayload; n++ {
+		v := mkval(n)
+		ref, err := p.TryPut(0, v)
+		if err != nil {
+			t.Fatalf("TryPut(%d bytes): %v", n, err)
+		}
+		var want [NumClasses]int64
+		want[NumClasses-1]++ // the head chunk
+		want[ClassOf(n-chainPayload)]++
+		if got := classLive(p); got != want {
+			t.Fatalf("%d bytes: per-class live %v, want %v", n, got, want)
+		}
+		if got := p.AppendTo(nil, ref); !bytes.Equal(got, v) {
+			t.Fatalf("round trip of %d bytes mismatched", n)
+		}
+		p.Free(0, ref)
+	}
+	if live := p.Live(); live != 0 {
+		t.Fatalf("Live = %d after freeing everything", live)
+	}
+}
+
+// TestChainInflightAdopt checks that Free and Adopt of a parked chain
+// return its head chunks and its tail.
+func TestChainInflightAdopt(t *testing.T) {
+	p := New(Config{MaxProcs: 2, DebugChecks: true})
+	ref, err := p.TryPut(1, mkval(3*chainPayload+100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Live() != 4 {
+		t.Fatalf("Live = %d, want 3 head chunks + 1 tail", p.Live())
+	}
+	p.SetInflight(1, ref)
+	p.Adopt(1)
+	if live := p.Live(); live != 0 {
+		t.Fatalf("adopted inflight chain leaked: Live = %d", live)
+	}
+	ref, err = p.TryPut(0, mkval(2*chainPayload+5000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Free(1, ref)
+	if live := p.Live(); live != 0 {
+		t.Fatalf("freed chain leaked: Live = %d", live)
+	}
+}
+
+// TestChainCappedClassAllOrNothing checks that a chain whose tail class
+// or head class is out of capacity fails TryPut with nothing left
+// allocated: a full tail class fails first, and a full head class frees
+// the tail already built.
+func TestChainCappedClassAllOrNothing(t *testing.T) {
+	const capSlots = 64
+	p := New(Config{MaxProcs: 1, Capacity: capSlots, DebugChecks: true})
+	var refs []uint64
+	put := func(n int) {
+		t.Helper()
+		ref, err := p.TryPut(0, mkval(n))
+		if err != nil {
+			t.Fatalf("TryPut(%d) under the cap: %v", n, err)
+		}
+		refs = append(refs, ref)
+	}
+	for range capSlots {
+		put(16) // fill the 16B class: the tail class of 8,185 bytes
+	}
+	before := classLive(p)
+	if _, err := p.TryPut(0, mkval(8185)); !errors.Is(err, arena.ErrExhausted) {
+		t.Fatalf("chain with a capped tail class: %v, want ErrExhausted", err)
+	}
+	if got := classLive(p); got != before {
+		t.Fatalf("failed chain left slabs behind: %v -> %v", before, got)
+	}
+	for range capSlots - 1 {
+		put(maxClassSize) // leave one 4KiB slot: the chain needs two heads
+	}
+	before = classLive(p)
+	if _, err := p.TryPut(0, mkval(2*chainPayload+100)); !errors.Is(err, arena.ErrExhausted) {
+		t.Fatalf("chain with a capped head class: %v, want ErrExhausted", err)
+	}
+	if got := classLive(p); got != before {
+		t.Fatalf("failed chain left slabs behind: %v -> %v", before, got)
+	}
+	for _, ref := range refs {
+		p.Free(0, ref)
+	}
+	if live := p.Live(); live != 0 {
+		t.Fatalf("Live = %d after teardown", live)
+	}
+}

@@ -72,6 +72,19 @@ echo "==> biased reclamation regression pass (race, count 3)"
 go test -race -count 3 -run 'MergeRetireDebtBounded|SharedHandlesReclaimBounded|EagerOverwriteReleaseVsLoadWindow|BiasedCrossThreadHammer' \
     ./internal/core ./collections
 
+# Arena carving and value-chain regression pass (DESIGN.md §8, §13): the
+# carving ramp (chunk lengths, the skip past a short chunk's end, Slots
+# counting carved slots, a capped pool's slab memory, growth across the
+# ramp and full chunks), overflow chains with right-sized tails (round
+# trips at the shape boundaries, tail classes, Free/Adopt of an inflight
+# chain, all-or-nothing under a capped class), and cache-mode SCAN
+# rendering every shard's segment. Already in the ./... sweep; repeated
+# under the race detector to keep the regressions named and re-runnable.
+echo "==> arena carving and value-chain regression pass (race, count 3)"
+go test -race -count 3 -run 'ChunkShiftDerived|ChunkRamp|CarveSkips|SlotsCountsCarved|CappedPoolSlotMemory|CrossChunkGrowth|HandlesAreDistinct' ./internal/arena
+go test -race -count 3 -run 'ChainTail|ChainInflight|ChainCapped' ./internal/vals
+go test -race -count 3 -run 'CacheModeScanAllShards' ./internal/server
+
 echo "==> chaos soak (10s, seed 1, 2 simulated crashes per configuration)"
 go run ./cmd/cdrc-stress -duration 10s -chaos -chaos-seed 1 -crash-workers 2
 
