@@ -101,7 +101,7 @@ func TestStatsHighWaterAndOccupancy(t *testing.T) {
 // TestRecyclingNeverResurrectsLiveHeader hammers alloc/free recycling
 // across processors and checks that no slot ever reaches the free list
 // while its header is live (takeSlot panics on that corruption) and that
-// poisoned headers are always re-armed before reuse.
+// poisoned slots are always re-armed before reuse.
 func TestRecyclingNeverResurrectsLiveHeader(t *testing.T) {
 	const procs = 4
 	p := NewPool[uint64](procs)
@@ -117,7 +117,7 @@ func TestRecyclingNeverResurrectsLiveHeader(t *testing.T) {
 			for i := 0; i < 20000; i++ {
 				if len(held) < 32 {
 					if h, err := p.TryAlloc(id); err == nil {
-						if !p.Hdr(h).Live() {
+						if !p.IsLive(h) {
 							panic("freshly allocated header not live")
 						}
 						*p.Get(h) = uint64(h)

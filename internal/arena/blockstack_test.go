@@ -11,7 +11,7 @@ import (
 // must own m exclusively.
 func walkMagazine[T any](p *Pool[T], m magazine, limit int, visit func(uint64)) int {
 	n := 0
-	for idx := m.head; idx != 0 && n < limit; idx = p.slotFor(idx).hdr.nextFree {
+	for idx := m.head; idx != 0 && n < limit; idx = p.metaFor(idx).link.Load() & blockIdxMask {
 		if visit != nil {
 			visit(idx)
 		}

@@ -3,7 +3,6 @@ package arena
 import (
 	"errors"
 	"testing"
-	"unsafe"
 )
 
 // chunkLens returns the slot count of every chunk p has made so far.
@@ -17,11 +16,11 @@ func chunkLens[T any](p *Pool[T]) []int {
 
 // TestChunkShiftDerivedFromSlotSize pins the one chunk-size rule: a full
 // chunk is the largest power of two of slots that fits in about 1 MiB,
-// and never less than one block.
+// side-table entries included, and never less than one block.
 func TestChunkShiftDerivedFromSlotSize(t *testing.T) {
-	check := func(name string, got uint, size uintptr) {
+	check := func(name string, got uint, size uint64) {
 		t.Helper()
-		full := uintptr(1) << got
+		full := uint64(1) << got
 		if got < blockShift {
 			t.Fatalf("%s: chunkShift %d is below one block", name, got)
 		}
@@ -32,9 +31,9 @@ func TestChunkShiftDerivedFromSlotSize(t *testing.T) {
 			t.Fatalf("%s: chunkShift %d leaves a full chunk under half of %d B", name, got, fullChunkBytes)
 		}
 	}
-	check("payload", chunkShiftFor[payload](), unsafe.Sizeof(slot[payload]{}))
-	check("[256]byte", chunkShiftFor[[256]byte](), unsafe.Sizeof(slot[[256]byte]{}))
-	check("[4096]byte", chunkShiftFor[[4096]byte](), unsafe.Sizeof(slot[[4096]byte]{}))
+	check("payload", chunkShiftFor[counted[payload]](), slotBytes[counted[payload]]())
+	check("[256]byte", chunkShiftFor[counted[[256]byte]](), slotBytes[counted[[256]byte]]())
+	check("[4096]byte slab", chunkShiftFor[[4096]byte](), slotBytes[[4096]byte]())
 	if got := chunkShiftFor[[1 << 16]byte](); got != blockShift {
 		t.Fatalf("64 KiB slots: chunkShift %d, want one block (%d)", got, blockShift)
 	}
@@ -125,8 +124,9 @@ func TestStatsSlotsCountsCarved(t *testing.T) {
 }
 
 // TestCappedPoolSlotMemory checks that the chunk clamp keeps a capped
-// pool's slab memory at its cap: 4,096 slots of 320 B allocate no more
-// than the cap plus one block of slots.
+// pool's slab memory at its cap: 4,096 slots of 296 B (a 24 B header, a
+// 256 B value and a 16 B side-table entry) allocate no more than the cap
+// plus one block of slots.
 func TestCappedPoolSlotMemory(t *testing.T) {
 	const capSlots = 4096
 	p := NewPool[[256]byte](1)
@@ -148,7 +148,7 @@ func TestCappedPoolSlotMemory(t *testing.T) {
 	for _, l := range chunkLens(p) {
 		total += l
 	}
-	size := int(unsafe.Sizeof(slot[[256]byte]{}))
+	size := int(slotBytes[counted[[256]byte]]())
 	if total*size > (capSlots+blockSize)*size {
 		t.Fatalf("capped pool made %d slots (%d B) for a cap of %d; chunks %v", total, total*size, capSlots, chunkLens(p))
 	}

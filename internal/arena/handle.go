@@ -12,7 +12,7 @@
 //
 // Recycling slots deliberately reintroduces the read-reclaim races and ABA
 // hazards that safe memory reclamation exists to solve: a stale Handle may
-// observe a poisoned header (a detectable use-after-free) or a recycled
+// observe a poisoned slot (a detectable use-after-free) or a recycled
 // object (the ABA case the algorithms under test must tolerate). Go's
 // garbage collector only manages the arena's backing slabs, never
 // individual objects, so reclamation behaviour is equivalent to the

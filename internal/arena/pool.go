@@ -45,41 +45,46 @@ var (
 
 const (
 	// fullChunkBytes sizes a pool's full chunk: 1<<chunkShift slots, the
-	// largest power of two that fits in about this many bytes of slots
-	// (never fewer than one block). Chunks ramp up to that size from one
-	// block (DESIGN.md §8).
+	// largest power of two whose slots and side-table entries fit in about
+	// this many bytes (never fewer than one block). Chunks ramp up to that
+	// size from one block (DESIGN.md §8).
 	fullChunkBytes = 1 << 20
 
 	// blockSize is the transfer granularity of the allocator: free slots
 	// are grouped into blocks of up to blockSize indices (chained through
-	// their headers' nextFree fields), and all traffic between processors
-	// and the shared pool moves whole blocks in O(1). It is also the
-	// length of a pool's first chunk.
+	// their side-table links), and all traffic between processors and the
+	// shared pool moves whole blocks in O(1). It is also the length of a
+	// pool's first chunk.
 	blockShift = 6
 	blockSize  = 1 << blockShift
 
-	// blockIdxBits is the width of a slot index inside the block stack's
+	// blockIdxBits is the width of a slot index inside the allocator's
 	// packed words. 40 bits matches the Handle index budget (DESIGN.md
-	// §1); the remaining 24 high bits hold the ABA tag of the stack head
-	// or the slot count of a block descriptor.
+	// §1); the remaining 24 high bits hold the ABA tag of the stack head,
+	// the slot count of a block descriptor, or a side-table state magic.
 	blockIdxBits = 40
 	blockIdxMask = 1<<blockIdxBits - 1
 
-	// Header state magics. Anything else in the state word means the
-	// header itself has been corrupted.
-	stateLive = 0xA11FE001
-	stateFree = 0xF3EED002
+	// Slot state magics, stored in the high 24 bits of a side-table
+	// entry's link word. Zero marks an index never carved; anything else
+	// means the entry has been corrupted.
+	stateLive = 0xA11FE0
+	stateFree = 0xF3EED0
+
+	// liveWord is a live slot's link word: the live magic and no link.
+	liveWord = stateLive << blockIdxBits
 )
 
-// Header is the per-object bookkeeping block that precedes every slot's
-// value. It plays the role of the C++ library's control block: the
-// reference-counting schemes keep their counter here, and the era-based SMR
-// schemes (IBR, HE) stamp birth and retire eras here. The allocator itself
-// uses only state, nextFree, and blockMeta.
-type Header struct {
-	state atomic.Uint32
-	_     uint32
+// freeWord is the link word of a free slot whose successor in its
+// magazine or block is next (0 ends the chain).
+func freeWord(next uint64) uint64 { return stateFree<<blockIdxBits | next }
 
+// Header is the count block inline before every counted slot's value
+// (Pool). It plays the role of the C++ library's control block: the
+// reference-counting schemes keep their counters here. The allocator
+// keeps none of its own words here (they live in the side table, see
+// slotMeta), so a 40-byte record and its header fill one cache line.
+type Header struct {
 	// RefCount is the object's reference count. The arena zeroes it on
 	// Alloc; its semantics belong entirely to the scheme using the pool.
 	// The core scheme uses it as the *shared* word of a biased count
@@ -91,58 +96,76 @@ type Header struct {
 	// 0 means unbiased. It is single-writer — only the thread currently
 	// holding the named pid (or an exclusive reserver/adopter of that
 	// pid) may store to it. Keeping it adjacent to RefCount puts both
-	// halves of one object's count in the same cache line, and the
-	// 64-byte Header total keeps them out of the neighbouring slot's
-	// line whenever slots are line-aligned. Zeroed on Alloc; ignored by
-	// schemes that do not bias.
+	// halves of one object's count in the same cache line. Zeroed on
+	// Alloc; ignored by schemes that do not bias.
 	Owner atomic.Uint64
 
 	// WeakCount is a second counter for schemes that support weak
 	// references (the core library's cycle-breaking extension). Zeroed on
 	// Alloc; ignored by schemes that do not use it.
 	WeakCount atomic.Int64
-
-	// BirthEra and RetireEra are stamped by era-based reclamation schemes.
-	// The arena zeroes them on Alloc.
-	BirthEra  atomic.Uint64
-	RetireEra atomic.Uint64
-
-	// nextFree chains free slots within a block (and within a processor's
-	// magazines). Valid only while state == stateFree; touched only by the
-	// slot's current owner.
-	nextFree uint64
-
-	// blockMeta is the block descriptor, valid only while this slot heads
-	// a block on the global stack: bits 0..39 hold the next block's head
-	// index, bits 40.. hold this block's slot count. It is atomic because
-	// a racing popBlock may read it after the block has already been
-	// popped and handed to a new owner; the stack head's ABA tag makes
-	// such stale reads harmless, but they must still be data-race-free.
-	blockMeta atomic.Uint64
 }
 
-// Live reports whether the header belongs to a currently allocated slot.
-// It is a racy snapshot: a concurrent Free can change the answer. It exists
-// for debugging and for the optimistic schemes that are allowed to read
-// freed memory (e.g. classic split counts) to assert their own invariants.
-func (h *Header) Live() bool { return h.state.Load() == stateLive }
+// reset zeroes the count words. Most recycled slots already read zero (a
+// refcount is zero when its object dies), so it tests before writing: the
+// loads are plain reads while the stores are full atomic exchanges on the
+// hot path.
+func (h *Header) reset() {
+	if h.RefCount.Load() != 0 {
+		h.RefCount.Store(0)
+	}
+	if h.Owner.Load() != 0 {
+		h.Owner.Store(0)
+	}
+	if h.WeakCount.Load() != 0 {
+		h.WeakCount.Store(0)
+	}
+}
 
-type slot[T any] struct {
+// slotMeta is one slot's side-table entry: the allocator's bookkeeping,
+// indexed like the slots but kept out of them.
+type slotMeta struct {
+	// link packs the slot's state magic (bits 40..63) with its free link
+	// (bits 0..39): the next free index in its magazine or block while
+	// the slot is free, 0 while it is live. One CAS flips a live slot to
+	// free and links it, so a double free fails that CAS.
+	link atomic.Uint64
+
+	// aux is the block descriptor while the slot heads a block on the
+	// global stack (bits 0..39: the next block's head index, bits 40..:
+	// this block's slot count) and the slot's era word while it is live
+	// (zeroed on Alloc; see Era). It is atomic because a racing popBlock
+	// may read a descriptor after the block has been popped and the slot
+	// reallocated; the stack head's ABA tag makes such stale reads
+	// harmless, but they must still be data-race-free.
+	aux atomic.Uint64
+}
+
+// counted is a Pool slot: the count header inline before the value.
+type counted[T any] struct {
 	hdr Header
 	val T
+}
+
+// reset zeroes a slot's value and count words for a new allocation.
+func (s *counted[T]) reset() {
+	var zero T
+	s.val = zero
+	s.hdr.reset()
 }
 
 // chunk k spans the index range [k<<chunkShift, (k+1)<<chunkShift) but
 // holds only len(slots) slots: min(blockSize<<k, 1<<chunkShift), clamped
 // to the capacity still uncarved when it was made. Indices past its end
-// are never carved.
-type chunk[T any] struct {
-	slots []slot[T]
+// are never carved. meta is the side table, one entry per slot.
+type chunk[S any] struct {
+	slots []S
+	meta  []slotMeta
 }
 
-// magazine is a chain of free slot indices linked through the slots'
-// nextFree fields, owned exclusively by one processor (or, in flight, by
-// the single goroutine pushing or popping it on the block stack).
+// magazine is a chain of free slot indices linked through the side
+// table, owned exclusively by one processor (or, in flight, by the single
+// goroutine pushing or popping it on the block stack).
 type magazine struct {
 	head  uint64
 	count int
@@ -187,10 +210,9 @@ type Stats struct {
 	FreeGlobal int
 }
 
-// Pool is a slab allocator for values of type T, addressed by Handle.
-// Alloc and Free are safe for concurrent use by distinct processors;
-// Get and Hdr are safe for concurrent use by anyone holding a protected
-// handle. The zero Pool is not usable; create one with NewPool.
+// allocator is the slab allocator both pool kinds share, generic over the
+// slot layout S: counted[T] for Pool, a bare T for Slabs. Alloc and Free
+// are safe for concurrent use by distinct processors.
 //
 // Allocation is constant-time with no locks on every path except carving
 // fresh capacity: the fast path pops the calling processor's active
@@ -198,8 +220,8 @@ type Stats struct {
 // processor and a lock-free Treiber stack of blocks (ABA-guarded by a
 // 24-bit tag in the packed head word). growMu is taken only when the
 // global stack is empty and fresh slots must be carved from chunks.
-type Pool[T any] struct {
-	chunks atomic.Pointer[[]*chunk[T]]
+type allocator[S any] struct {
+	chunks atomic.Pointer[[]*chunk[S]]
 
 	// blocks is the global stack of free blocks: tag<<blockIdxBits | head
 	// slot index of the top block (0 = empty). Every successful push or
@@ -220,7 +242,7 @@ type Pool[T any] struct {
 	local []procCache
 
 	// chunkShift/chunkMask give each chunk's index range; chunkShift is
-	// derived from the slot size (chunkShiftFor). Immutable after NewPool.
+	// derived from the slot size (chunkShiftFor). Immutable after init.
 	chunkShift uint
 	chunkMask  uint64
 
@@ -228,13 +250,30 @@ type Pool[T any] struct {
 	frees  atomic.Uint64
 	liveHW atomic.Int64 // exact monotone peak of allocs-frees (CAS max-loop)
 
-	// DebugChecks enables poisoned-header verification on every Get and
-	// Hdr. Tests turn this on; benchmarks leave it off. It must be set
-	// before the pool is shared.
+	// DebugChecks enables use-after-free verification on every Get (and,
+	// on a Pool, a biased-slot check on every Free). Tests turn this on;
+	// benchmarks leave it off. It must be set before the pool is shared.
 	DebugChecks bool
 }
 
-// PoolOpts parameterizes NewPoolWith. The zero value matches NewPool.
+// Pool is a slab allocator for counted values of type T, addressed by
+// Handle: every slot is a Header followed by a T. Alloc and Free are safe
+// for concurrent use by distinct processors; Get and Hdr are safe for
+// concurrent use by anyone holding a protected handle. The zero Pool is
+// not usable; create one with NewPool.
+type Pool[T any] struct {
+	allocator[counted[T]]
+}
+
+// Slabs is a headerless Pool: a slot is exactly a T, with no count words.
+// It serves the value plane (internal/vals), whose slabs are owned by one
+// record's Val word and never counted.
+type Slabs[T any] struct {
+	allocator[T]
+}
+
+// PoolOpts parameterizes NewPoolWith and NewSlabs. The zero value matches
+// NewPool.
 type PoolOpts struct {
 	// MaxProcs bounds processor ids (0 = pid.DefaultMaxProcs).
 	MaxProcs int
@@ -251,19 +290,31 @@ func NewPool[T any](maxProcs int) *Pool[T] {
 
 // NewPoolWith is NewPool with explicit naming.
 func NewPoolWith[T any](opts PoolOpts) *Pool[T] {
+	p := &Pool[T]{}
+	p.init(opts)
+	return p
+}
+
+// NewSlabs creates a headerless pool of T slots.
+func NewSlabs[T any](opts PoolOpts) *Slabs[T] {
+	p := &Slabs[T]{}
+	p.init(opts)
+	return p
+}
+
+// init sets up a fresh allocator and registers its obs gauges.
+func (a *allocator[S]) init(opts PoolOpts) {
 	maxProcs := opts.MaxProcs
 	if maxProcs <= 0 {
 		maxProcs = pid.DefaultMaxProcs
 	}
-	shift := chunkShiftFor[T]()
-	p := &Pool[T]{
-		nextFresh:  1, // index 0 reserved so Handle(0) is unambiguously nil
-		local:      make([]procCache, maxProcs),
-		chunkShift: shift,
-		chunkMask:  1<<shift - 1,
-	}
-	chunks := make([]*chunk[T], 0, 8)
-	p.chunks.Store(&chunks)
+	shift := chunkShiftFor[S]()
+	a.nextFresh = 1 // index 0 reserved so Handle(0) is unambiguously nil
+	a.local = make([]procCache, maxProcs)
+	a.chunkShift = shift
+	a.chunkMask = 1<<shift - 1
+	chunks := make([]*chunk[S], 0, 8)
+	a.chunks.Store(&chunks)
 	name := opts.Name
 	if name == "" {
 		name = fmt.Sprintf("arena.pool.%03d", poolSeq.Add(1))
@@ -271,7 +322,7 @@ func NewPoolWith[T any](opts PoolOpts) *Pool[T] {
 	// Expose occupancy gauges through a weak pointer: obs must never keep
 	// a dead pool's chunks alive, and the registration is pruned once the
 	// pool is collected.
-	wp := weak.Make(p)
+	wp := weak.Make(a)
 	obs.RegisterPoolGauges(name, func() (obs.PoolGauges, bool) {
 		q := wp.Value()
 		if q == nil {
@@ -284,14 +335,20 @@ func NewPoolWith[T any](opts PoolOpts) *Pool[T] {
 			FreeLocal: st.FreeLocal, FreeGlobal: st.FreeGlobal,
 		}, true
 	})
-	return p
+}
+
+// slotBytes is what one slot of layout S costs: the slot itself plus its
+// side-table entry.
+func slotBytes[S any]() uint64 {
+	var s S
+	return uint64(unsafe.Sizeof(s) + unsafe.Sizeof(slotMeta{}))
 }
 
 // chunkShiftFor returns log2 of a full chunk's slot count for slots of
-// type T: the largest power of two whose slots fit in fullChunkBytes, and
-// never less than one block.
-func chunkShiftFor[T any]() uint {
-	size := uint64(unsafe.Sizeof(slot[T]{}))
+// layout S: the largest power of two whose slots and side-table entries
+// fit in fullChunkBytes, and never less than one block.
+func chunkShiftFor[S any]() uint {
+	size := slotBytes[S]()
 	shift := uint(blockShift)
 	for size<<(shift+1) <= fullChunkBytes {
 		shift++
@@ -301,9 +358,24 @@ func chunkShiftFor[T any]() uint {
 
 // slotFor resolves an index to its slot. The caller must know the index is
 // within the carved-out range (any index obtained from Alloc is).
-func (p *Pool[T]) slotFor(idx uint64) *slot[T] {
-	chunks := *p.chunks.Load()
-	return &chunks[idx>>p.chunkShift].slots[idx&p.chunkMask]
+func (a *allocator[S]) slotFor(idx uint64) *S {
+	chunks := *a.chunks.Load()
+	return &chunks[idx>>a.chunkShift].slots[idx&a.chunkMask]
+}
+
+// metaFor resolves an index to its side-table entry (same contract as
+// slotFor).
+func (a *allocator[S]) metaFor(idx uint64) *slotMeta {
+	chunks := *a.chunks.Load()
+	return &chunks[idx>>a.chunkShift].meta[idx&a.chunkMask]
+}
+
+// checkLive panics unless h's slot is allocated: DebugChecks' use-after-
+// free detector, op naming the access.
+func (a *allocator[S]) checkLive(op string, h Handle) {
+	if w := a.metaFor(h.Index()).link.Load(); w != liveWord {
+		panic(fmt.Sprintf("arena: use-after-free: %s on handle %#x (state %#x)", op, uint64(h), w>>blockIdxBits))
+	}
 }
 
 // Get returns a pointer to the value addressed by h, clearing marks. It
@@ -314,13 +386,22 @@ func (p *Pool[T]) Get(h Handle) *T {
 	if idx == 0 {
 		panic("arena: Get on nil handle")
 	}
-	s := p.slotFor(idx)
 	if p.DebugChecks {
-		if st := s.hdr.state.Load(); st != stateLive {
-			panic(fmt.Sprintf("arena: use-after-free: Get on handle %#x (state %#x)", uint64(h), st))
-		}
+		p.checkLive("Get", h)
 	}
-	return &s.val
+	return &p.slotFor(idx).val
+}
+
+// Get is Pool.Get for a headerless slot.
+func (p *Slabs[T]) Get(h Handle) *T {
+	idx := h.Index()
+	if idx == 0 {
+		panic("arena: Get on nil handle")
+	}
+	if p.DebugChecks {
+		p.checkLive("Get", h)
+	}
+	return p.slotFor(idx)
 }
 
 // Hdr returns the header of the slot addressed by h, clearing marks. Unlike
@@ -335,6 +416,32 @@ func (p *Pool[T]) Hdr(h Handle) *Header {
 	return &p.slotFor(idx).hdr
 }
 
+// Era returns the era word of the live slot addressed by h. The arena
+// zeroes it on Alloc and otherwise leaves it to the pool's user: the
+// era-based SMR schemes (IBR, HE) stamp a birth era in it, and the core
+// scheme a retire timestamp while obs is enabled. The word shares storage
+// with the allocator's block descriptor, so it is meaningful only while
+// the slot is live, and a store to a freed slot's era word could corrupt
+// the global block stack.
+func (p *Pool[T]) Era(h Handle) *atomic.Uint64 {
+	idx := h.Index()
+	if idx == 0 {
+		panic("arena: Era on nil handle")
+	}
+	if p.DebugChecks {
+		p.checkLive("Era", h)
+	}
+	return &p.metaFor(idx).aux
+}
+
+// IsLive reports whether h addresses a currently allocated slot. It is a
+// racy snapshot: a concurrent Free can change the answer. It exists for
+// debugging and for the optimistic schemes that are allowed to read
+// freed memory (e.g. classic split counts) to assert their own invariants.
+func (a *allocator[S]) IsLive(h Handle) bool {
+	return a.metaFor(h.Index()).link.Load() == liveWord
+}
+
 // SetCapacity caps the total number of slots the pool may ever carve out
 // of fresh chunks (0 = unbounded, the default). Once the cap is reached,
 // allocation succeeds only by recycling freed slots: TryAlloc reports
@@ -342,10 +449,10 @@ func (p *Pool[T]) Hdr(h Handle) *Header {
 // Alloc panics. The cap may be set or raised at any time; lowering it
 // below the already-carved count stops further growth but reclaims
 // nothing.
-func (p *Pool[T]) SetCapacity(slots uint64) {
-	p.growMu.Lock()
-	p.capSlots = slots
-	p.growMu.Unlock()
+func (a *allocator[S]) SetCapacity(slots uint64) {
+	a.growMu.Lock()
+	a.capSlots = slots
+	a.growMu.Unlock()
 }
 
 // Alloc carves a fresh slot out of the arena (or recycles a freed one) and
@@ -357,14 +464,9 @@ func (p *Pool[T]) SetCapacity(slots uint64) {
 // between Alloc and TryAlloc callers (use TryAlloc where allocation
 // failure is a condition the caller handles).
 func (p *Pool[T]) Alloc(procID int) Handle {
-	if chaosAlloc.Fire() {
-		panic(fmt.Sprintf("arena: injected fault: %v", ErrExhausted))
-	}
-	idx, ok := p.takeSlot(procID)
-	if !ok {
-		panic(fmt.Sprintf("arena: pool exhausted (capacity %d slots)", p.Stats().Capacity))
-	}
-	return FromIndex(idx)
+	s, h := p.alloc(procID)
+	s.reset()
+	return h
 }
 
 // TryAlloc is Alloc with graceful failure: it returns ErrExhausted when
@@ -372,105 +474,138 @@ func (p *Pool[T]) Alloc(procID int) Handle {
 // magazines, or when a chaos fault at "arena.alloc" forces the failure. On
 // failure the pool is unchanged and the caller is expected to back off.
 func (p *Pool[T]) TryAlloc(procID int) (Handle, error) {
+	s, h, err := p.tryAlloc(procID)
+	if err != nil {
+		return Nil, err
+	}
+	s.reset()
+	return h, nil
+}
+
+// Alloc is Pool.Alloc for a headerless slot: the slot is zeroed.
+func (p *Slabs[T]) Alloc(procID int) Handle {
+	s, h := p.alloc(procID)
+	var zero T
+	*s = zero
+	return h
+}
+
+// TryAlloc is Pool.TryAlloc for a headerless slot.
+func (p *Slabs[T]) TryAlloc(procID int) (Handle, error) {
+	s, h, err := p.tryAlloc(procID)
+	if err != nil {
+		return Nil, err
+	}
+	var zero T
+	*s = zero
+	return h, nil
+}
+
+// alloc is Alloc's shared half: it takes a slot, which the caller zeroes.
+func (a *allocator[S]) alloc(procID int) (*S, Handle) {
 	if chaosAlloc.Fire() {
-		return Nil, fmt.Errorf("injected fault: %w", ErrExhausted)
+		panic(fmt.Sprintf("arena: injected fault: %v", ErrExhausted))
 	}
-	idx, ok := p.takeSlot(procID)
+	idx, s, ok := a.takeSlot(procID)
 	if !ok {
-		return Nil, ErrExhausted
+		panic(fmt.Sprintf("arena: pool exhausted (capacity %d slots)", a.Stats().Capacity))
 	}
-	return FromIndex(idx), nil
+	return s, FromIndex(idx)
+}
+
+// tryAlloc is TryAlloc's shared half: it takes a slot, which the caller
+// zeroes.
+func (a *allocator[S]) tryAlloc(procID int) (*S, Handle, error) {
+	if chaosAlloc.Fire() {
+		return nil, Nil, fmt.Errorf("injected fault: %w", ErrExhausted)
+	}
+	idx, s, ok := a.takeSlot(procID)
+	if !ok {
+		return nil, Nil, ErrExhausted
+	}
+	return s, FromIndex(idx), nil
 }
 
 // takeSlot pops a slot from procID's active magazine (falling back to the
-// spare, then to a whole-block refill), initializes its header, and records
-// the allocation. It reports false when no block could be produced
-// (capacity-capped pool with nothing recyclable).
-func (p *Pool[T]) takeSlot(procID int) (uint64, bool) {
-	pc := &p.local[procID]
+// spare, then to a whole-block refill), marks it live with a zero era
+// word, and records the allocation. It reports false when no block could
+// be produced (capacity-capped pool with nothing recyclable).
+func (a *allocator[S]) takeSlot(procID int) (uint64, *S, bool) {
+	pc := &a.local[procID]
 	if pc.active.count == 0 {
 		if pc.spare.count > 0 {
 			pc.active, pc.spare = pc.spare, pc.active
-		} else if !p.refill(pc) {
-			return 0, false
+		} else if !a.refill(pc) {
+			return 0, nil, false
 		}
 	}
 	idx := pc.active.head
-	s := p.slotFor(idx)
-	pc.active.head = s.hdr.nextFree
+	c := (*a.chunks.Load())[idx>>a.chunkShift]
+	off := idx & a.chunkMask
+	m := &c.meta[off]
+	w := m.link.Load()
+	if w>>blockIdxBits != stateFree {
+		panic(fmt.Sprintf("arena: free list corruption: slot %d has state %#x", idx, w>>blockIdxBits))
+	}
+	pc.active.head = w & blockIdxMask
 	pc.active.count--
 	pc.n.Add(-1)
 
-	if st := s.hdr.state.Load(); st == stateLive {
-		panic(fmt.Sprintf("arena: free list corruption: slot %d already live", idx))
+	// A block's head slot still holds its descriptor; clear the era word
+	// only when needed, as Header.reset does.
+	if m.aux.Load() != 0 {
+		m.aux.Store(0)
 	}
-	var zero T
-	s.val = zero
-	// Header counters must read 0 on a fresh slot, but most recycled slots
-	// already satisfy that (a refcount is zero when its object dies), so
-	// test before writing: the loads are plain reads while the stores are
-	// full atomic exchanges on the hot path.
-	hdr := &s.hdr
-	if hdr.RefCount.Load() != 0 {
-		hdr.RefCount.Store(0)
-	}
-	if hdr.Owner.Load() != 0 {
-		hdr.Owner.Store(0)
-	}
-	if hdr.WeakCount.Load() != 0 {
-		hdr.WeakCount.Store(0)
-	}
-	if hdr.BirthEra.Load() != 0 {
-		hdr.BirthEra.Store(0)
-	}
-	if hdr.RetireEra.Load() != 0 {
-		hdr.RetireEra.Store(0)
-	}
-	hdr.nextFree = 0
-	hdr.state.Store(stateLive)
+	m.link.Store(liveWord)
 
-	live := int64(p.allocs.Add(1)) - int64(p.frees.Load())
+	live := int64(a.allocs.Add(1)) - int64(a.frees.Load())
 	for {
-		cur := p.liveHW.Load()
-		if live <= cur || p.liveHW.CompareAndSwap(cur, live) {
+		cur := a.liveHW.Load()
+		if live <= cur || a.liveHW.CompareAndSwap(cur, live) {
 			break
 		}
 	}
 	obsAlloc.Inc(procID)
-	return idx, true
+	return idx, &c.slots[off], true
 }
 
 // Free returns the slot addressed by h to the calling processor's active
 // magazine; when that magazine completes a full block it is parked as the
 // spare or, if the spare is already full, pushed onto the global block
 // stack in O(1). Free takes no locks. It panics on nil handles and on
-// double frees. The slot's header is poisoned so that a subsequent checked
-// Get fails, and the value is left in place: readers racing with Free are
-// exactly the read-reclaim races the algorithms under test must prevent,
-// and leaving the stale value visible makes such bugs reproducible rather
-// than silently masked.
+// double frees, and (with DebugChecks) on slots still biased to an owner.
+// The slot is poisoned so that a subsequent checked Get fails, and the
+// value is left in place: readers racing with Free are exactly the
+// read-reclaim races the algorithms under test must prevent, and leaving
+// the stale value visible makes such bugs reproducible rather than
+// silently masked.
 func (p *Pool[T]) Free(procID int, h Handle) {
+	if p.DebugChecks && h.Index() != 0 {
+		// A biased slot must be unbiased (owner word folded and cleared)
+		// before its object can die; freeing one means a count was lost.
+		if ow := p.slotFor(h.Index()).hdr.Owner.Load(); ow != 0 {
+			panic(fmt.Sprintf("arena: free of biased slot %#x (owner word %#x)", uint64(h), ow))
+		}
+	}
+	p.allocator.Free(procID, h)
+}
+
+// Free returns the slot addressed by h to the calling processor's
+// magazines (see Pool.Free).
+func (a *allocator[S]) Free(procID int, h Handle) {
 	idx := h.Index()
 	if idx == 0 {
 		panic("arena: Free on nil handle")
 	}
 	chaosFree.Fire()
-	s := p.slotFor(idx)
-	if p.DebugChecks {
-		// A biased slot must be unbiased (owner word folded and cleared)
-		// before its object can die; freeing one means a count was lost.
-		if ow := s.hdr.Owner.Load(); ow != 0 {
-			panic(fmt.Sprintf("arena: free of biased slot %#x (owner word %#x)", uint64(h), ow))
-		}
+	m := a.metaFor(idx)
+	pc := &a.local[procID]
+	if !m.link.CompareAndSwap(liveWord, freeWord(pc.active.head)) {
+		panic(fmt.Sprintf("arena: double free of handle %#x (state %#x)", uint64(h), m.link.Load()>>blockIdxBits))
 	}
-	if !s.hdr.state.CompareAndSwap(stateLive, stateFree) {
-		panic(fmt.Sprintf("arena: double free of handle %#x (state %#x)", uint64(h), s.hdr.state.Load()))
-	}
-	p.frees.Add(1)
+	a.frees.Add(1)
 	obsFree.Inc(procID)
 
-	pc := &p.local[procID]
-	s.hdr.nextFree = pc.active.head
 	pc.active.head = idx
 	pc.active.count++
 	pc.n.Add(1)
@@ -479,7 +614,7 @@ func (p *Pool[T]) Free(procID int, h Handle) {
 			pc.active, pc.spare = magazine{}, pc.active
 		} else {
 			pc.n.Add(-blockSize)
-			p.pushBlock(pc.active)
+			a.pushBlock(pc.active)
 			pc.active = magazine{}
 		}
 	}
@@ -492,34 +627,34 @@ func (p *Pool[T]) Free(procID int, h Handle) {
 // with nothing recyclable. A chaos fault at "arena.refill" permutes the
 // incoming magazine (deterministically in the schedule seed) to maximize
 // the variety of handle-reuse interleavings.
-func (p *Pool[T]) refill(pc *procCache) bool {
-	m, ok := p.popBlock()
+func (a *allocator[S]) refill(pc *procCache) bool {
+	m, ok := a.popBlock()
 	if !ok {
-		if m, ok = p.carveBlock(); !ok {
+		if m, ok = a.carveBlock(); !ok {
 			return false
 		}
 	}
 	pc.active = m
 	pc.n.Add(int64(m.count))
 	if seed, ok := chaosRefill.FireSeed(); ok {
-		p.shuffleMagazine(&pc.active, seed)
+		a.shuffleMagazine(&pc.active, seed)
 	}
 	return true
 }
 
 // pushBlock pushes a magazine onto the global block stack: its head slot's
-// header becomes the block descriptor (count + next-block link), and one
-// CAS publishes it. Lock-free; O(1) per attempt.
-func (p *Pool[T]) pushBlock(m magazine) {
+// side-table aux word becomes the block descriptor (count + next-block
+// link), and one CAS publishes it. Lock-free; O(1) per attempt.
+func (a *allocator[S]) pushBlock(m magazine) {
 	if m.count == 0 {
 		return
 	}
-	hdr := &p.slotFor(m.head).hdr
+	meta := a.metaFor(m.head)
 	for {
-		old := p.blocks.Load()
-		hdr.blockMeta.Store(uint64(m.count)<<blockIdxBits | old&blockIdxMask)
-		if p.blocks.CompareAndSwap(old, taggedHead(old, m.head)) {
-			p.blocksN.Add(int64(m.count))
+		old := a.blocks.Load()
+		meta.aux.Store(uint64(m.count)<<blockIdxBits | old&blockIdxMask)
+		if a.blocks.CompareAndSwap(old, taggedHead(old, m.head)) {
+			a.blocksN.Add(int64(m.count))
 			return
 		}
 	}
@@ -527,19 +662,20 @@ func (p *Pool[T]) pushBlock(m magazine) {
 
 // popBlock pops the top block off the global stack. The descriptor read
 // between the head load and the CAS may be stale (the block may have been
-// popped, consumed, and even recycled in between), but then the head's tag
-// has advanced and the CAS fails harmlessly. Lock-free; O(1) per attempt.
-func (p *Pool[T]) popBlock() (magazine, bool) {
+// popped, consumed, and its head slot even reallocated, its aux word now
+// an era), but then the head's tag has advanced and the CAS fails
+// harmlessly. Lock-free; O(1) per attempt.
+func (a *allocator[S]) popBlock() (magazine, bool) {
 	for {
-		old := p.blocks.Load()
+		old := a.blocks.Load()
 		idx := old & blockIdxMask
 		if idx == 0 {
 			return magazine{}, false
 		}
-		meta := p.slotFor(idx).hdr.blockMeta.Load()
-		if p.blocks.CompareAndSwap(old, taggedHead(old, meta&blockIdxMask)) {
+		meta := a.metaFor(idx).aux.Load()
+		if a.blocks.CompareAndSwap(old, taggedHead(old, meta&blockIdxMask)) {
 			count := int(meta >> blockIdxBits)
-			p.blocksN.Add(-int64(count))
+			a.blocksN.Add(-int64(count))
 			return magazine{head: idx, count: count}, true
 		}
 	}
@@ -558,29 +694,27 @@ func taggedHead(old, idx uint64) uint64 {
 // and growth of the chunk directory. When the current chunk is shorter
 // than its index range and full, carving resumes at the next chunk's
 // first index.
-func (p *Pool[T]) carveBlock() (magazine, bool) {
+func (a *allocator[S]) carveBlock() (magazine, bool) {
 	var m magazine
-	p.growMu.Lock()
-	for m.count < blockSize && (p.capSlots == 0 || p.carved < p.capSlots) {
-		idx := p.nextFresh
-		k := idx >> p.chunkShift
-		chunks := *p.chunks.Load()
-		if k < uint64(len(chunks)) && idx&p.chunkMask == uint64(len(chunks[k].slots)) {
+	a.growMu.Lock()
+	for m.count < blockSize && (a.capSlots == 0 || a.carved < a.capSlots) {
+		idx := a.nextFresh
+		k := idx >> a.chunkShift
+		chunks := *a.chunks.Load()
+		if k < uint64(len(chunks)) && idx&a.chunkMask == uint64(len(chunks[k].slots)) {
 			k++
-			idx = k << p.chunkShift
+			idx = k << a.chunkShift
 		}
 		if k == uint64(len(chunks)) {
-			p.addChunkLocked(idx)
+			a.addChunkLocked(idx)
 		}
-		p.nextFresh = idx + 1
-		p.carved++
-		s := p.slotFor(idx)
-		s.hdr.state.Store(stateFree)
-		s.hdr.nextFree = m.head
+		a.nextFresh = idx + 1
+		a.carved++
+		a.metaFor(idx).link.Store(freeWord(m.head))
 		m.head = idx
 		m.count++
 	}
-	p.growMu.Unlock()
+	a.growMu.Unlock()
 	return m, m.count > 0
 }
 
@@ -590,33 +724,33 @@ func (p *Pool[T]) carveBlock() (magazine, bool) {
 // more than the slots still uncarved. Caller holds growMu. The directory
 // is replaced wholesale so concurrent readers can keep indexing the old
 // copy without locks.
-func (p *Pool[T]) addChunkLocked(first uint64) {
-	k := first >> p.chunkShift
-	n := uint64(1) << p.chunkShift
-	if k < uint64(p.chunkShift-blockShift) {
+func (a *allocator[S]) addChunkLocked(first uint64) {
+	k := first >> a.chunkShift
+	n := uint64(1) << a.chunkShift
+	if k < uint64(a.chunkShift-blockShift) {
 		n = blockSize << k
 	}
-	if p.capSlots != 0 {
-		n = min(n, first&p.chunkMask+p.capSlots-p.carved)
+	if a.capSlots != 0 {
+		n = min(n, first&a.chunkMask+a.capSlots-a.carved)
 	}
-	cur := *p.chunks.Load()
-	grown := make([]*chunk[T], len(cur)+1)
+	cur := *a.chunks.Load()
+	grown := make([]*chunk[S], len(cur)+1)
 	copy(grown, cur)
-	grown[len(cur)] = &chunk[T]{slots: make([]slot[T], n)}
-	p.chunks.Store(&grown)
+	grown[len(cur)] = &chunk[S]{slots: make([]S, n), meta: make([]slotMeta, n)}
+	a.chunks.Store(&grown)
 }
 
 // shuffleMagazine permutes m's chain with a splitmix64 Fisher-Yates,
 // deterministic in seed. Called by the magazine's owner, no lock needed.
 // Recycling order is normally LIFO; shuffling it maximizes the variety of
 // handle-reuse interleavings (the ABA pressure chaos runs seek).
-func (p *Pool[T]) shuffleMagazine(m *magazine, seed uint64) {
+func (a *allocator[S]) shuffleMagazine(m *magazine, seed uint64) {
 	n := m.count
 	if n < 2 {
 		return
 	}
 	idxs := make([]uint64, 0, n)
-	for idx := m.head; len(idxs) < n; idx = p.slotFor(idx).hdr.nextFree {
+	for idx := m.head; len(idxs) < n; idx = a.metaFor(idx).link.Load() & blockIdxMask {
 		idxs = append(idxs, idx)
 	}
 	rng := seed
@@ -635,7 +769,7 @@ func (p *Pool[T]) shuffleMagazine(m *magazine, seed uint64) {
 	}
 	head := uint64(0)
 	for i := n - 1; i >= 0; i-- {
-		p.slotFor(idxs[i]).hdr.nextFree = head
+		a.metaFor(idxs[i]).link.Store(freeWord(head))
 		head = idxs[i]
 	}
 	m.head = head
@@ -648,24 +782,24 @@ func (p *Pool[T]) shuffleMagazine(m *magazine, seed uint64) {
 // stranded - and a future thread reissued the same id would inherit
 // magazines it never built. The adopter of an abandoned id must drain here
 // before the id is reissued. Safe only when no live thread owns procID.
-func (p *Pool[T]) DrainLocal(procID int) {
-	pc := &p.local[procID]
+func (a *allocator[S]) DrainLocal(procID int) {
+	pc := &a.local[procID]
 	if pc.active.count > 0 {
 		pc.n.Add(-int64(pc.active.count))
-		p.pushBlock(pc.active)
+		a.pushBlock(pc.active)
 		pc.active = magazine{}
 	}
 	if pc.spare.count > 0 {
 		pc.n.Add(-int64(pc.spare.count))
-		p.pushBlock(pc.spare)
+		a.pushBlock(pc.spare)
 		pc.spare = magazine{}
 	}
 }
 
 // FreeListLen returns the occupancy of procID's magazines (diagnostics;
 // racy unless the owner is quiescent).
-func (p *Pool[T]) FreeListLen(procID int) int {
-	return int(p.local[procID].n.Load())
+func (a *allocator[S]) FreeListLen(procID int) int {
+	return int(a.local[procID].n.Load())
 }
 
 // Stats returns a snapshot of the pool's counters. Live and the occupancy
@@ -673,41 +807,41 @@ func (p *Pool[T]) FreeListLen(procID int) int {
 // accounting (a block in flight between a magazine and the global stack is
 // briefly counted in neither) but are exact at quiescence. Stats performs
 // no allocation: the obs pool gauges call it on every snapshot interval.
-func (p *Pool[T]) Stats() Stats {
-	a := p.allocs.Load()
-	f := p.frees.Load()
+func (a *allocator[S]) Stats() Stats {
+	al := a.allocs.Load()
+	f := a.frees.Load()
 	local := 0
-	for i := range p.local {
-		local += int(p.local[i].n.Load())
+	for i := range a.local {
+		local += int(a.local[i].n.Load())
 	}
-	p.growMu.Lock()
-	slots := p.carved
-	capSlots := p.capSlots
-	p.growMu.Unlock()
+	a.growMu.Lock()
+	slots := a.carved
+	capSlots := a.capSlots
+	a.growMu.Unlock()
 	return Stats{
-		Allocs:        a,
+		Allocs:        al,
 		Frees:         f,
-		Live:          int64(a) - int64(f),
+		Live:          int64(al) - int64(f),
 		Slots:         slots,
-		LiveHighWater: p.liveHW.Load(),
+		LiveHighWater: a.liveHW.Load(),
 		Capacity:      capSlots,
 		FreeLocal:     local,
-		FreeGlobal:    int(p.blocksN.Load()),
+		FreeGlobal:    int(a.blocksN.Load()),
 	}
 }
 
 // FreeLocalPerProc returns each processor's magazine occupancy, indexed by
 // processor id (diagnostics and tests; entries of abandoned-and-drained
 // processors are zero). Unlike Stats it allocates its result.
-func (p *Pool[T]) FreeLocalPerProc() []int {
-	out := make([]int, len(p.local))
-	for i := range p.local {
-		out[i] = int(p.local[i].n.Load())
+func (a *allocator[S]) FreeLocalPerProc() []int {
+	out := make([]int, len(a.local))
+	for i := range a.local {
+		out[i] = int(a.local[i].n.Load())
 	}
 	return out
 }
 
 // Live returns the number of currently allocated objects.
-func (p *Pool[T]) Live() int64 {
-	return int64(p.allocs.Load()) - int64(p.frees.Load())
+func (a *allocator[S]) Live() int64 {
+	return int64(a.allocs.Load()) - int64(a.frees.Load())
 }

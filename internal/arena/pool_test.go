@@ -52,12 +52,12 @@ func TestDoubleFreePanics(t *testing.T) {
 	p := NewPool[payload](1)
 	h := p.Alloc(0)
 	p.Free(0, h)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on double free")
-		}
-	}()
-	p.Free(0, h)
+	mustPanic(t, "Pool double free", func() { p.Free(0, h) })
+
+	s := NewSlabs[[16]byte](PoolOpts{MaxProcs: 1})
+	hs := s.Alloc(0)
+	s.Free(0, hs)
+	mustPanic(t, "Slabs double free", func() { s.Free(0, hs) })
 }
 
 func TestUseAfterFreePanicsWithChecks(t *testing.T) {

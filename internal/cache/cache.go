@@ -269,8 +269,18 @@ func (c *Cache) Attach() *Handle {
 
 // CheckIdentity verifies the conservation identity at quiescence: every
 // insert is either still linked (resident, expired-but-unreaped included)
-// or was unlinked by exactly one counted path.
+// or was unlinked by exactly one counted path. The shard's own sweeper
+// keeps unlinking expired entries even when every caller is quiescent,
+// so it is paused for the check: otherwise an expiry landing between the
+// scan and the counter reads is counted both as resident and as expired.
 func (c *Cache) CheckIdentity() error {
+	c.sweepMu.Lock()
+	sweeping := c.sweepStop != nil
+	c.sweepMu.Unlock()
+	if sweeping {
+		c.stopSweeper()
+		defer c.StartSweeper()
+	}
 	h := c.Attach()
 	defer h.Close()
 	resident := uint64(h.th.Scan(-1, func(_, _ uint64) bool { return true }))

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -214,6 +215,35 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	identityOrFail(t, c)
+	closeOrFail(t, c)
+}
+
+// TestCacheCheckIdentityWhileSweeping checks the identity while the
+// shard's sweeper is reaping. The callers are quiescent but the sweeper
+// is not: an expiry landing between CheckIdentity's scan and its counter
+// reads must not be counted both as resident and as expired.
+func TestCacheCheckIdentityWhileSweeping(t *testing.T) {
+	c := New(Config{ExpectedKeys: 4096, SweepInterval: time.Millisecond, DebugChecks: true})
+	c.StartSweeper()
+	h := c.Attach()
+	for k := uint64(0); k < 4000; k++ {
+		if _, _, err := h.SetEx(k, k, time.Duration(k%40)*time.Millisecond/2); err != nil {
+			t.Fatalf("set %d: %v", k, err)
+		}
+	}
+	h.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for e := c.Stats().Expires; e < 3900; e = c.Stats().Expires {
+		identityOrFail(t, c)
+		// Let the sweeper reap more before the next check.
+		for c.Stats().Expires == e {
+			if time.Now().After(deadline) {
+				t.Fatalf("sweeper stalled at %d expiries", e)
+			}
+			runtime.Gosched()
+		}
+	}
 	identityOrFail(t, c)
 	closeOrFail(t, c)
 }

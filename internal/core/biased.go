@@ -345,7 +345,7 @@ func (d *Domain[T]) mergeOwned(rightsPid int, h arena.Handle, t *Thread[T]) {
 				// orphan retire is paid by the spare eject of whichever
 				// pid's scan adopts it.
 				if obs.Enabled() {
-					hdr.RetireEra.Store(obs.NowNanos())
+					d.pool.Era(h).Store(obs.NowNanos())
 				}
 				if t != nil {
 					obsDecrDeferred.Inc(t.pid)

@@ -455,3 +455,46 @@ func TestEagerOverwriteReleaseVsLoadWindow(t *testing.T) {
 		t.Fatalf("Live = %d at quiescence", live)
 	}
 }
+
+// TestRetireToReclaimOneSample checks the obs retire-to-reclaim latency
+// path through the slot's era word (arena Pool.Era): one object retired
+// and destroyed adds exactly one sample to core.retire-to-reclaim.ns,
+// and the slot it frees comes back from the arena with a zero era word,
+// so a stale stamp can never time a later object.
+func TestRetireToReclaimOneSample(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	obs.Reset()
+
+	d := newNodeDomain(2)
+	th := d.Attach()
+	defer th.Detach()
+
+	p := th.NewRc(func(n *node) { n.Val = 1 })
+	h := p.Handle()
+	if e := d.pool.Era(h).Load(); e != 0 {
+		t.Fatalf("fresh slot era = %#x, want 0", e)
+	}
+	th.Release(p) // the last unit: retired, destroyed when its eject lands
+	drain(th)
+	if live := d.Live(); live != 0 {
+		t.Fatalf("Live = %d after the last release drained", live)
+	}
+	r := obs.Snapshot()
+	if got := r.Histograms["core.retire-to-reclaim.ns"].Count; got != 1 {
+		t.Fatalf("core.retire-to-reclaim.ns has %d samples, want 1", got)
+	}
+
+	q := th.NewRc(nil)
+	if q.Handle() != h {
+		t.Fatalf("slot %#x not recycled (got %#x)", uint64(h), uint64(q.Handle()))
+	}
+	if e := d.pool.Era(q.Handle()).Load(); e != 0 {
+		t.Fatalf("recycled slot era = %#x, want 0", e)
+	}
+	th.Release(q)
+	drain(th)
+	if got := obs.Snapshot().Histograms["core.retire-to-reclaim.ns"].Count; got != 2 {
+		t.Fatalf("core.retire-to-reclaim.ns has %d samples after a second object, want 2", got)
+	}
+}

@@ -50,10 +50,11 @@ var (
 // armed them). Every retire-based decrement counts once as deferred and
 // once as applied when its eject lands, so core.decr.deferred ==
 // core.decr.applied at quiescence; eager decrements touch neither. The
-// latency histogram measures last-retire to destruct: core does not use
-// the header's RetireEra field (only the era-based SMR schemes do, on
-// their own pools), so while obs is enabled retireAndEject stamps it with
-// a monotonic nanosecond timestamp that deleteObj reads back.
+// latency histogram measures last-retire to destruct: core has no other
+// use for a live slot's era word (arena Pool.Era; only the era-based SMR
+// schemes stamp eras, on their own pools), so while obs is enabled
+// retireAndEject stamps it with a monotonic nanosecond timestamp that
+// deleteObj reads back.
 var (
 	obsIncrDeferred = obs.NewCounter("core.incr.deferred")
 	obsDecrDeferred = obs.NewCounter("core.decr.deferred")
@@ -475,11 +476,10 @@ func (t *Thread[T]) deleteObj(h arena.Handle) {
 	}
 	var zero T
 	*ptr = zero
-	hdr := t.d.pool.Hdr(h)
-	if ts := hdr.RetireEra.Load(); ts != 0 {
+	if ts := t.d.pool.Era(h).Load(); ts != 0 {
 		obsReclaimLat.Observe(obs.NowNanos() - ts)
 	}
-	if c := hdr.WeakCount.Add(-1); c == 0 {
+	if c := t.d.pool.Hdr(h).WeakCount.Add(-1); c == 0 {
 		t.d.pool.Free(t.pid, h)
 	} else if c < 0 {
 		panic("core: weak count went negative at destruction")
@@ -492,7 +492,7 @@ func (t *Thread[T]) retireAndEject(h arena.Handle) {
 	h = h.Unmarked()
 	obsDecrDeferred.Inc(t.pid)
 	if obs.Enabled() {
-		t.d.pool.Hdr(h).RetireEra.Store(obs.NowNanos())
+		t.d.pool.Era(h).Store(obs.NowNanos())
 	}
 	t.retireWord(uint64(h))
 }

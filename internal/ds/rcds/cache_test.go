@@ -125,6 +125,28 @@ func TestCacheExpireAtShortensAndReaps(t *testing.T) {
 	quiesce(t, h, th)
 }
 
+// TestEvictSpareKeepsRef pins EvictStep's spare contract: a spared ref
+// stays with the caller, however often it is spared, until the caller
+// re-queues it, evicts it or drops it. Dropping a twice-spared ref must
+// leave nothing pinned once the table is cleared.
+func TestEvictSpareKeepsRef(t *testing.T) {
+	h, th := newCacheTable(t)
+	_, _, ref, _, _ := th.PutEx(1, 10, 0, t0)
+	for i := 0; i < 2; i++ {
+		if _, hit, _ := th.GetEx(1, 0, t0); !hit {
+			t.Fatalf("touch %d missed", i)
+		}
+		if out := th.EvictStep(ref, t0); out != ds.EvictSpare {
+			t.Fatalf("EvictStep after touch %d = %v, want EvictSpare", i, out)
+		}
+	}
+	if v, hit, _ := th.GetEx(1, 0, t0); !hit || v != 10 {
+		t.Fatalf("twice-spared entry: %d %v, want resident 10", v, hit)
+	}
+	th.DropRef(ref)
+	quiesce(t, h, th)
+}
+
 // TestCacheEvictRacesReaders is the tentpole property at the primitive
 // level: concurrent readers against an evictor, resolved only by the
 // paper's machinery. DebugChecks turns any read of a freed slot into a
@@ -160,12 +182,17 @@ func TestCacheEvictRacesReaders(t *testing.T) {
 		th := h.AttachCache()
 		defer th.Detach()
 		for ref := range refs {
-			switch th.EvictStep(ref, t0) {
+			out := th.EvictStep(ref, t0)
+			if out == ds.EvictSpare {
+				// Cold it down and try to finish it now.
+				out = th.EvictStep(ref, t0)
+			}
+			switch out {
 			case ds.EvictSpare:
-				// Cold it down and finish it now.
-				if out := th.EvictStep(ref, t0); out == ds.EvictEvicted {
-					th.Reap(ref.Key)
-				}
+				// A reader touched it again: the ref is still ours
+				// (EvictStep kept it), and this evictor does not
+				// re-queue, so consume it.
+				th.DropRef(ref)
 			case ds.EvictEvicted, ds.EvictExpired:
 				th.Reap(ref.Key)
 			}

@@ -72,7 +72,6 @@ type BST struct {
 	// debugRetires records the stack of each retire when non-nil (test
 	// diagnostics for double-retire hunting).
 	debugRetires *sync.Map
-	debugGen     atomic.Uint64
 
 	root arena.Handle // R sentinel; R.left = S sentinel
 	sHdl arena.Handle
@@ -108,7 +107,7 @@ func NewBST(kind smr.Kind, maxProcs int) *BST {
 			}
 			b.pool.Free(procID, h)
 		},
-		Hdr: func(h arena.Handle) *arena.Header { return b.pool.Hdr(h) },
+		Era: b.pool.Era,
 	})
 	// Build the sentinels under a temporary reclaimer thread's id.
 	init := b.rec.Attach()
@@ -245,10 +244,6 @@ func (t *bstThread) Insert(key uint64) bool {
 		b.pool.Get(newLeaf).Key = key
 		newInternal := b.pool.Alloc(t.ppid)
 		t.th.OnAlloc(newInternal)
-		if b.debugRetires != nil {
-			b.pool.Hdr(newLeaf).BirthEra.Store(b.debugGen.Add(1))
-			b.pool.Hdr(newInternal).BirthEra.Store(b.debugGen.Add(1))
-		}
 		ni := b.pool.Get(newInternal)
 		if key < leafN.Key {
 			ni.Key = leafN.Key

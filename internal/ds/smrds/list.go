@@ -59,7 +59,7 @@ func newListBase(kind smr.Kind, structure string, maxProcs int) *listBase {
 	b.rec = smr.New(kind, smr.Config{
 		MaxProcs: maxProcs,
 		Free:     func(procID int, h arena.Handle) { b.pool.Free(procID, h) },
-		Hdr:      func(h arena.Handle) *arena.Header { return b.pool.Hdr(h) },
+		Era:      b.pool.Era,
 	})
 	return b
 }

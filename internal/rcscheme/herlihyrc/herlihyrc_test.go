@@ -59,7 +59,7 @@ func TestGuardDefersReclamation(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			writer.Store(0, uint64(i)+10)
 		}
-		if !s.objs.Hdr(h).Live() {
+		if !s.objs.IsLive(h) {
 			t.Fatal("guarded object reclaimed")
 		}
 		if got := s.objs.Hdr(h).RefCount.Load(); got != 0 {
@@ -67,7 +67,7 @@ func TestGuardDefersReclamation(t *testing.T) {
 		}
 		reader.unguard(0)
 		writer.scan()
-		if s.objs.Hdr(h).Live() {
+		if s.objs.IsLive(h) {
 			t.Fatal("object not reclaimed after unguard+scan")
 		}
 		writer.Detach()

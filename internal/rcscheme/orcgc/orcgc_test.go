@@ -40,7 +40,7 @@ func TestHazardDefersReclamation(t *testing.T) {
 	writer.Store(0, 5)
 	h := reader.protect(0, &s.cells[0].v)
 	writer.Store(0, 6) // dead but hazarded
-	if !s.objs.Hdr(h).Live() {
+	if !s.objs.IsLive(h) {
 		t.Fatal("hazarded object reclaimed")
 	}
 	if got := s.Unreclaimed(); got != 1 {
@@ -48,7 +48,7 @@ func TestHazardDefersReclamation(t *testing.T) {
 	}
 	reader.clear(0)
 	writer.Store(0, 7) // the next retire's scan picks up the parked one
-	if s.objs.Hdr(h).Live() {
+	if s.objs.IsLive(h) {
 		t.Fatal("object not reclaimed after hazard cleared")
 	}
 	writer.Detach()

@@ -33,8 +33,8 @@ type heRetired struct {
 }
 
 func newHE(cfg Config) *he {
-	if cfg.Hdr == nil {
-		panic("smr: HE requires Config.Hdr for era stamping")
+	if cfg.Era == nil {
+		panic("smr: HE requires Config.Era for era stamping")
 	}
 	r := &he{
 		cfg:   cfg,
@@ -97,14 +97,12 @@ func (t *heThread) Announce(int, arena.Handle) {}
 
 // OnAlloc stamps the birth era.
 func (t *heThread) OnAlloc(h arena.Handle) {
-	t.r.cfg.Hdr(h).BirthEra.Store(t.r.era.Load())
+	t.r.cfg.Era(h).Store(t.r.era.Load())
 }
 
 func (t *heThread) Retire(h arena.Handle) {
-	hdr := t.r.cfg.Hdr(h)
 	death := t.r.era.Load()
-	hdr.RetireEra.Store(death)
-	t.limbo = append(t.limbo, heRetired{h: h, birth: hdr.BirthEra.Load(), death: death})
+	t.limbo = append(t.limbo, heRetired{h: h, birth: t.r.cfg.Era(h).Load(), death: death})
 	t.r.unreclaimed.Add(1)
 	t.r.obs.retire.Inc(t.id)
 	t.counter++

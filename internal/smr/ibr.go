@@ -37,8 +37,8 @@ type ibrRetired struct {
 }
 
 func newIBR(cfg Config) *ibr {
-	if cfg.Hdr == nil {
-		panic("smr: IBR requires Config.Hdr for era stamping")
+	if cfg.Era == nil {
+		panic("smr: IBR requires Config.Era for era stamping")
 	}
 	r := &ibr{
 		cfg: cfg,
@@ -100,17 +100,15 @@ func (t *ibrThread) Announce(int, arena.Handle) {}
 // OnAlloc stamps the node's birth era and advances the global era every
 // ibrFreq allocations.
 func (t *ibrThread) OnAlloc(h arena.Handle) {
-	t.r.cfg.Hdr(h).BirthEra.Store(t.r.era.Load())
+	t.r.cfg.Era(h).Store(t.r.era.Load())
 	if t.r.allocs.Add(1)%ibrFreq == 0 {
 		t.r.era.Add(1)
 	}
 }
 
 func (t *ibrThread) Retire(h arena.Handle) {
-	hdr := t.r.cfg.Hdr(h)
 	death := t.r.era.Load()
-	hdr.RetireEra.Store(death)
-	t.limbo = append(t.limbo, ibrRetired{h: h, birth: hdr.BirthEra.Load(), death: death})
+	t.limbo = append(t.limbo, ibrRetired{h: h, birth: t.r.cfg.Era(h).Load(), death: death})
 	t.r.unreclaimed.Add(1)
 	t.r.obs.retire.Inc(t.id)
 	t.counter++

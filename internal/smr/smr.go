@@ -5,7 +5,7 @@
 // the leaky "No MM" baseline.
 //
 // All schemes reclaim arena handles: the data structure owns the arena
-// pool and supplies Free/Hdr callbacks. Handles may carry low-order marks
+// pool and supplies Free/Era callbacks. Handles may carry low-order marks
 // (deleted-bit idiom); schemes compare unmarked handles when deciding
 // safety. As the paper emphasizes (§8), these are *manual* techniques: the
 // data structure must call Retire at exactly the right moments, and
@@ -40,9 +40,9 @@ type Config struct {
 	// Free reclaims a (unmarked) handle on behalf of procID.
 	Free func(procID int, h arena.Handle)
 
-	// Hdr returns the arena header for era stamping. Required by IBR and
-	// HE; the others ignore it.
-	Hdr func(h arena.Handle) *arena.Header
+	// Era returns a live slot's era word (arena Pool.Era) for birth-era
+	// stamping. Required by IBR and HE; the others ignore it.
+	Era func(h arena.Handle) *atomic.Uint64
 }
 
 func (c Config) withDefaults() Config {

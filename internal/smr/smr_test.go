@@ -20,7 +20,7 @@ func newHarness(kind Kind, maxProcs int) *harness {
 	h.rec = New(kind, Config{
 		MaxProcs: maxProcs,
 		Free:     func(procID int, hd arena.Handle) { h.pool.Free(procID, hd) },
-		Hdr:      func(hd arena.Handle) *arena.Header { return h.pool.Hdr(hd) },
+		Era:      h.pool.Era,
 	})
 	return h
 }
@@ -103,7 +103,7 @@ func TestProtectBlocksReclamation(t *testing.T) {
 			}
 			writer.Flush()
 			// The protected object must still be alive and intact.
-			if !h.pool.Hdr(target).Live() {
+			if !h.pool.IsLive(target) {
 				t.Fatal("protected handle was freed")
 			}
 			if *h.pool.Get(target) != 42 {
@@ -112,7 +112,7 @@ func TestProtectBlocksReclamation(t *testing.T) {
 
 			reader.End()
 			writer.Flush()
-			if h.pool.Hdr(target).Live() {
+			if h.pool.IsLive(target) {
 				t.Fatal("handle not reclaimed after protection dropped")
 			}
 			reader.Detach()
@@ -143,12 +143,12 @@ func TestProtectWithMarks(t *testing.T) {
 				writer.Retire(h.alloc(writer, 1, uint64(i)))
 			}
 			writer.Flush()
-			if !h.pool.Hdr(target).Live() {
+			if !h.pool.IsLive(target) {
 				t.Fatal("marked announcement failed to protect")
 			}
 			reader.End()
 			writer.Flush()
-			if h.pool.Hdr(target).Live() {
+			if h.pool.IsLive(target) {
 				t.Fatal("not reclaimed after release")
 			}
 			reader.Detach()
@@ -221,7 +221,7 @@ func TestConcurrentProtectRetireStress(t *testing.T) {
 						th.Begin()
 						hd := th.Protect(0, &cell)
 						if !hd.IsNil() {
-							if !h.pool.Hdr(hd).Live() {
+							if !h.pool.IsLive(hd) {
 								t.Error("protected handle dead")
 								th.End()
 								return

@@ -147,7 +147,7 @@ func unpack(ref uint64) (class int, h arena.Handle, length int) {
 		int(ref >> refLenShift & MaxLen)
 }
 
-// classPool erases the per-class arena.Pool element type.
+// classPool erases the per-class arena.Slabs element type.
 type classPool interface {
 	tryAlloc(procID int) (arena.Handle, error)
 	free(procID int, h arena.Handle)
@@ -160,7 +160,7 @@ type classPool interface {
 }
 
 type cls[T any] struct {
-	p  *arena.Pool[T]
+	p  *arena.Slabs[T]
 	sl func(*T) []byte
 }
 
@@ -175,7 +175,7 @@ func (c *cls[T]) stats() arena.Stats                        { return c.p.Stats()
 
 func newCls[T any](name string, class int, procs int, sl func(*T) []byte) *cls[T] {
 	return &cls[T]{
-		p: arena.NewPoolWith[T](arena.PoolOpts{
+		p: arena.NewSlabs[T](arena.PoolOpts{
 			MaxProcs: procs,
 			Name:     fmt.Sprintf("%s.c%04d", name, ClassSize(class)),
 		}),

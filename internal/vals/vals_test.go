@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"cdrc/internal/arena"
 )
@@ -317,5 +318,37 @@ func TestChainCappedClassAllOrNothing(t *testing.T) {
 	}
 	if live := p.Live(); live != 0 {
 		t.Fatalf("Live = %d after teardown", live)
+	}
+}
+
+// TestSlabIsClassSize checks that value slabs are headerless: adjacent
+// slots of every class lie exactly one class size apart, with no
+// per-slot header between them (the allocator's own words live in its
+// side table).
+func TestSlabIsClassSize(t *testing.T) {
+	p := New(Config{MaxProcs: 1})
+	for c := 0; c < NumClasses; c++ {
+		cp := p.classes[c]
+		// The first block ends in chunk 1's first index; the next two
+		// allocations are adjacent indices of chunk 0.
+		var hs [3]arena.Handle
+		for i := range hs {
+			h, err := cp.tryAlloc(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs[i] = h
+		}
+		a, b := hs[1], hs[2]
+		if a.Index() != b.Index()+1 {
+			t.Fatalf("class %d: handles %d and %d are not adjacent", c, a.Index(), b.Index())
+		}
+		stride := uintptr(unsafe.Pointer(&cp.bytes(a)[0])) - uintptr(unsafe.Pointer(&cp.bytes(b)[0]))
+		if int(stride) != ClassSize(c) {
+			t.Fatalf("class %d: slot stride %d B, want exactly the class size %d B", c, stride, ClassSize(c))
+		}
+		for _, h := range hs {
+			cp.free(0, h)
+		}
 	}
 }

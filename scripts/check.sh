@@ -26,14 +26,20 @@ if grep -rn 'Hdr(.*)\.RefCount' --include='*.go' . \
 fi
 
 # Value-slab encapsulation lint (DESIGN.md §13): slab bytes are reachable
-# only through a byte-array arena pool, and only internal/vals may own
-# one — everyone else goes through vals.Pool (TryPut/AppendTo/Free) so
-# the Ref word's class/length/handle packing and the slab lifetime rules
-# stay in one package.
-echo "==> value-slab lint (byte-array arena pools outside internal/vals)"
+# only through a byte-array arena pool or a headerless Slabs pool, and
+# only internal/vals may own one — everyone else goes through vals.Pool
+# (TryPut/AppendTo/Free) so the Ref word's class/length/handle packing
+# and the slab lifetime rules stay in one package. internal/arena defines
+# Slabs and is exempt from the second pattern.
+echo "==> value-slab lint (byte-array and headerless arena pools outside internal/vals)"
 if grep -rn 'NewPool\[\[[0-9]*\][bB]yte\]' --include='*.go' . \
     | grep -v -e '^\./internal/vals/'; then
     echo "    FAIL: byte-array arena pool outside internal/vals (use vals.Pool)"
+    exit 1
+fi
+if grep -rn 'NewSlabs\[' --include='*.go' . \
+    | grep -v -e '^\./internal/vals/' -e '^\./internal/arena/'; then
+    echo "    FAIL: headerless arena pool outside internal/vals (use vals.Pool)"
     exit 1
 fi
 
@@ -84,6 +90,21 @@ echo "==> arena carving and value-chain regression pass (race, count 3)"
 go test -race -count 3 -run 'ChunkShiftDerived|ChunkRamp|CarveSkips|SlotsCountsCarved|CappedPoolSlotMemory|CrossChunkGrowth|HandlesAreDistinct' ./internal/arena
 go test -race -count 3 -run 'ChainTail|ChainInflight|ChainCapped' ./internal/vals
 go test -race -count 3 -run 'CacheModeScanAllShards' ./internal/server
+
+# Slot layout and side-table regression pass (DESIGN.md §8, §12): the
+# 24 B count header and the 16 B side-table entry, headerless value
+# slabs at exactly their class size, every rcds record 24 bytes into
+# its cache line, double-free and use-after-free detection on both pool
+# kinds, IsLive and the era word zeroed on every allocation, the
+# retire-to-reclaim sample through the era word, the block-transfer
+# paths that now chain through the side table, and the cache evictor's
+# spare contract. Already in the ./... sweep; repeated under the race
+# detector to keep the regressions named and re-runnable.
+echo "==> slot layout and side-table regression pass (race, count 3)"
+go test -race -count 3 -run 'HeaderLayout|SideTableLayout|DoubleFreePanics|DebugGetOfFreedSlot|IsLiveTracks|EraZeroedOnAlloc|BlockStack|Magazine|DrainLocal|CappedPool' ./internal/arena
+go test -race -count 3 -run 'SlabIsClassSize' ./internal/vals
+go test -race -count 3 -run 'RetireToReclaimOneSample' ./internal/core
+go test -race -count 3 -run 'RecordSharesLineWithHeader|EvictSpareKeepsRef|CacheEvictRacesReaders' ./internal/ds/rcds
 
 echo "==> chaos soak (10s, seed 1, 2 simulated crashes per configuration)"
 go run ./cmd/cdrc-stress -duration 10s -chaos -chaos-seed 1 -crash-workers 2
