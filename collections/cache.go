@@ -71,7 +71,6 @@ func NewCache(cfg CacheConfig) *Cache {
 		ExpectedKeys:  cfg.ExpectedKeys,
 		MaxProcs:      cfg.MaxProcs,
 		Capacity:      cfg.Capacity,
-		ByteValues:    true,
 		ValueCapacity: cfg.ValueCapacity,
 		IndexSize:     cfg.IndexSize,
 		SweepInterval: cfg.SweepInterval,
@@ -121,18 +120,18 @@ type CacheHandle struct {
 // only if the eviction index runs dry and peers hold no reclaimable
 // slots does the arena error surface.
 func (h *CacheHandle) SetEx(key uint64, val []byte, ttl time.Duration, dst []byte) (old []byte, existed bool, err error) {
-	return h.h.SetExB(key, val, ttl, dst)
+	return h.h.SetEx(key, val, ttl, dst)
 }
 
 // GetEx appends key's value to dst if present and unexpired, marking it
 // recently used; a non-zero ttl also replaces the deadline (the GETEX
 // touch).
 func (h *CacheHandle) GetEx(key uint64, ttl time.Duration, dst []byte) ([]byte, bool) {
-	return h.h.GetExB(key, ttl, dst)
+	return h.h.GetEx(key, ttl, dst)
 }
 
 // Get is GetEx without a TTL touch.
-func (h *CacheHandle) Get(key uint64, dst []byte) ([]byte, bool) { return h.h.GetB(key, dst) }
+func (h *CacheHandle) Get(key uint64, dst []byte) ([]byte, bool) { return h.h.Get(key, dst) }
 
 // Expire replaces key's deadline (ttl <= 0 expires it immediately),
 // reporting whether the key was present and live.
@@ -146,7 +145,7 @@ func (h *CacheHandle) Del(key uint64) bool { return h.h.Del(key) }
 // observes freed memory. val is handle-owned scratch, valid only until
 // fn returns — copy to retain.
 func (h *CacheHandle) Scan(limit int, fn func(key uint64, val []byte) bool) int {
-	return h.h.ScanB(limit, fn)
+	return h.h.Scan(limit, fn)
 }
 
 // Close detaches the handle. Idempotent.

@@ -7,10 +7,11 @@
 // and an Upgrade after the last strong reference ejects simply fails.
 // No locks anywhere on the put, get, evict, or sweep paths.
 //
-// Arena backpressure is rerouted here: when the table's arena is
-// exhausted, SetEx synchronously pops index records and evicts (bounded
-// attempts) instead of surfacing BUSY, so a capacity-capped cache churns
-// where a plain map sheds.
+// Values are bytes in the table's value plane (DESIGN.md §13). Arena
+// backpressure is rerouted here: when the table's arena or a value size
+// class is exhausted, SetEx synchronously pops index records and evicts
+// (bounded attempts) instead of surfacing BUSY, so a capacity-capped
+// cache churns where a plain map sheds.
 //
 // Crash model: simulated thread crashes (chaos.CrashSignal) may fire only
 // at this package's named points — cache.index.push, cache.evict.step,
@@ -98,15 +99,10 @@ type Config struct {
 	// backpressure (0 = 16).
 	EvictRetries int
 
-	// ByteValues switches the shard to variable-length byte values in
-	// value slabs (DESIGN.md §13): the byte methods (SetExB/GetExB/...)
-	// become legal and the uint64 value methods must not be used. The
-	// slab pool's per-class gauges are prefixed "<Name>.vals".
-	ByteValues bool
-
-	// ValueCapacity, with ByteValues, caps each value size class at that
-	// many slabs (0 = uncapped). Beyond it SetExB evicts and retries,
-	// exactly like entry-slot backpressure.
+	// ValueCapacity caps each value size class at that many slabs (0 =
+	// uncapped). Beyond it SetEx evicts and retries, exactly like
+	// entry-slot backpressure. The slab pool's per-class gauges are
+	// prefixed "<Name>.vals".
 	ValueCapacity uint64
 
 	// DebugChecks turns reads of freed slots into panics.
@@ -181,15 +177,13 @@ func New(cfg Config) *Cache {
 	if cfg.Capacity > 0 {
 		c.t.SetCapacity(cfg.Capacity)
 	}
-	if cfg.ByteValues {
-		vname := "" // auto-named when the shard is anonymous
-		if cfg.Name != "" {
-			vname = cfg.Name + ".vals"
-		}
-		vp := c.t.EnableByteValues(vname)
-		if cfg.ValueCapacity > 0 {
-			vp.SetCapacity(cfg.ValueCapacity)
-		}
+	vname := "" // auto-named when the shard is anonymous
+	if cfg.Name != "" {
+		vname = cfg.Name + ".vals"
+	}
+	vp := c.t.EnableByteValues(vname)
+	if cfg.ValueCapacity > 0 {
+		vp.SetCapacity(cfg.ValueCapacity)
 	}
 	if cfg.DebugChecks {
 		c.t.EnableDebugChecks()
@@ -283,7 +277,7 @@ func (c *Cache) CheckIdentity() error {
 	}
 	h := c.Attach()
 	defer h.Close()
-	resident := uint64(h.th.Scan(-1, func(_, _ uint64) bool { return true }))
+	resident := uint64(h.th.ScanB(-1, func(uint64, []byte) bool { return true }))
 	s := c.Stats()
 	if s.Inserts != s.Evicts+s.Expires+s.Dels+resident {
 		return fmt.Errorf(
@@ -387,10 +381,8 @@ func (c *Cache) Close() error {
 	if n := c.t.LiveNodes(); n != 0 {
 		return fmt.Errorf("cache: %d nodes leaked at close", n)
 	}
-	if vp := c.t.ByteValues(); vp != nil {
-		if n := vp.Live(); n != 0 {
-			return fmt.Errorf("cache: %d value slabs leaked at close", n)
-		}
+	if n := c.t.ByteValues().Live(); n != 0 {
+		return fmt.Errorf("cache: %d value slabs leaked at close", n)
 	}
 	return nil
 }
@@ -436,39 +428,13 @@ func deadline(now uint64, ttl time.Duration) uint64 {
 	return (now + uint64(ttl.Nanoseconds())) & rcds.ExpDeadlineMask
 }
 
-// SetEx binds key to val with a TTL (0 = no expiry). Under arena
-// backpressure it synchronously evicts index victims and retries, bounded
-// by EvictRetries; only if the index runs dry and the arena still refuses
+// SetEx binds key to val's bytes with a TTL (0 = no expiry), appending a
+// displaced live value's bytes to dst. Under arena backpressure — entry
+// slots or any value size class at capacity, since one eviction frees
+// both — it synchronously evicts index victims and retries, bounded by
+// EvictRetries; only if the index runs dry and the arena still refuses
 // does the error surface.
-func (h *Handle) SetEx(key, val uint64, ttl time.Duration) (old uint64, existed bool, err error) {
-	h.relieve()
-	now := nowNanos()
-	exp := deadline(now, ttl)
-	for attempt := 0; ; attempt++ {
-		o, ex, ref, reaped, perr := h.th.PutEx(key, val, exp, now)
-		h.account(reaped)
-		if perr == nil {
-			if attempt > 0 {
-				h.c.starved.Store(false)
-			}
-			if ex {
-				return o, true, nil
-			}
-			h.recordInsert(now, ref)
-			return 0, false, nil
-		}
-		if attempt >= h.c.retries {
-			return 0, false, perr
-		}
-		h.evictForSpace(now, attempt)
-	}
-}
-
-// SetExB is SetEx for a byte-valued shard: val's bytes are stored in
-// value slabs, a displaced live value's bytes are appended to dst. Slab
-// backpressure (any size class at capacity) evicts and retries exactly
-// like entry-slot backpressure — one eviction frees both planes.
-func (h *Handle) SetExB(key uint64, val []byte, ttl time.Duration, dst []byte) (old []byte, existed bool, err error) {
+func (h *Handle) SetEx(key uint64, val []byte, ttl time.Duration, dst []byte) (old []byte, existed bool, err error) {
 	h.relieve()
 	now := nowNanos()
 	exp := deadline(now, ttl)
@@ -543,29 +509,10 @@ func (h *Handle) relieve() {
 	}
 }
 
-// GetEx returns key's value if present and unexpired, marking it recently
-// used; a non-zero ttl also replaces the deadline (the GETEX touch).
-func (h *Handle) GetEx(key uint64, ttl time.Duration) (uint64, bool) {
-	h.relieve()
-	now := nowNanos()
-	v, hit, reaped := h.th.GetEx(key, deadline(now, ttl), now)
-	h.account(reaped)
-	if hit {
-		h.c.hits.Add(1)
-		obsHit.Inc(h.id)
-	} else {
-		h.c.misses.Add(1)
-		obsMiss.Inc(h.id)
-	}
-	return v, hit
-}
-
-// Get is GetEx without a TTL touch.
-func (h *Handle) Get(key uint64) (uint64, bool) { return h.GetEx(key, 0) }
-
-// GetExB is GetEx for a byte-valued shard; the hit's bytes are appended
-// to dst.
-func (h *Handle) GetExB(key uint64, ttl time.Duration, dst []byte) ([]byte, bool) {
+// GetEx appends key's bytes to dst if present and unexpired, marking it
+// recently used; a non-zero ttl also replaces the deadline (the GETEX
+// touch).
+func (h *Handle) GetEx(key uint64, ttl time.Duration, dst []byte) ([]byte, bool) {
 	h.relieve()
 	now := nowNanos()
 	dst, hit, reaped := h.th.GetExB(key, deadline(now, ttl), now, dst)
@@ -580,12 +527,12 @@ func (h *Handle) GetExB(key uint64, ttl time.Duration, dst []byte) ([]byte, bool
 	return dst, hit
 }
 
-// GetB is GetExB without a TTL touch.
-func (h *Handle) GetB(key uint64, dst []byte) ([]byte, bool) { return h.GetExB(key, 0, dst) }
+// Get is GetEx without a TTL touch.
+func (h *Handle) Get(key uint64, dst []byte) ([]byte, bool) { return h.GetEx(key, 0, dst) }
 
-// ScanB visits up to limit live entries of a byte-valued shard. val is
-// scratch, valid only until fn returns.
-func (h *Handle) ScanB(limit int, fn func(key uint64, val []byte) bool) int {
+// Scan visits up to limit live (unexpired) entries; weakly consistent.
+// val is scratch, valid only until fn returns.
+func (h *Handle) Scan(limit int, fn func(key uint64, val []byte) bool) int {
 	return h.th.ScanLiveB(nowNanos(), limit, fn)
 }
 
@@ -614,11 +561,6 @@ func (h *Handle) Del(key uint64) bool {
 		obsDel.Inc(h.id)
 	}
 	return ok
-}
-
-// Scan visits up to limit live (unexpired) entries; weakly consistent.
-func (h *Handle) Scan(limit int, fn func(key, val uint64) bool) int {
-	return h.th.ScanLive(nowNanos(), limit, fn)
 }
 
 // evictNone reports an empty index from step.

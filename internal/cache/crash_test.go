@@ -22,6 +22,7 @@ func crashChurn(t *testing.T, c *Cache, seed uint64, ops int) int {
 	}()
 	deaths := 0
 	r := seed*2654435761 + 1
+	var dst []byte
 	for i := 0; i < ops; {
 		survived := func() (ok bool) {
 			defer func() {
@@ -44,11 +45,11 @@ func crashChurn(t *testing.T, c *Cache, seed uint64, ops int) int {
 			case 1:
 				h.Expire(k, time.Duration(r%3)*time.Millisecond)
 			case 2, 3, 4:
-				if _, _, err := h.SetEx(k, k, time.Duration(r%4)*time.Millisecond); err != nil {
+				if _, _, err := h.SetEx(k, u64b(k), time.Duration(r%4)*time.Millisecond, nil); err != nil {
 					t.Errorf("set %d: %v", k, err)
 				}
 			default:
-				h.GetEx(k, time.Millisecond)
+				dst, _ = h.GetEx(k, time.Millisecond, dst[:0])
 			}
 			return true
 		}()
@@ -127,7 +128,7 @@ func TestCacheAbandonReindexesInflight(t *testing.T) {
 	c := New(Config{ExpectedKeys: 64, DebugChecks: true})
 	h := c.Attach()
 	for k := uint64(0); k < 8; k++ {
-		if _, _, err := h.SetEx(k, k, 0); err != nil {
+		if _, _, err := h.SetEx(k, u64b(k), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ type Set interface {
 	Unreclaimed() int64
 }
 
-// Map is a concurrent map from uint64 keys to uint64 values. The rcds
+// Map is a concurrent map from uint64 keys to byte values. The rcds
 // hash table implements both Set and Map over the same nodes (service
 // workloads want values; the §7.2 benchmarks want sets).
 type Map interface {
@@ -39,35 +39,23 @@ type Map interface {
 
 // MapThread is a per-worker map context. Not safe for concurrent use.
 type MapThread interface {
-	// Get returns key's current value.
-	Get(key uint64) (uint64, bool)
-
-	// Put maps key to val, returning the replaced value when the key was
-	// present. A non-nil error reports arena backpressure: the value was
-	// not stored and the caller should shed or retry the request.
-	Put(key, val uint64) (old uint64, existed bool, err error)
-
 	// Delete removes key, reporting false if it was absent.
 	Delete(key uint64) bool
 
-	// Scan visits up to limit live entries (limit < 0 for all), stopping
-	// early when fn returns false, and returns the number visited. The
-	// scan is weakly consistent under concurrent updates.
-	Scan(limit int, fn func(key, val uint64) bool) int
-
 	// GetB appends key's current bytes to dst and returns the extended
-	// slice. Byte operations are legal only on a byte-valued table
-	// (rcds.HashTable.EnableByteValues); they panic otherwise, and on a
-	// byte table the uint64 value operations must not be used.
+	// slice.
 	GetB(key uint64, dst []byte) ([]byte, bool)
 
 	// PutB binds key to val's bytes, appending any displaced bytes to
 	// dst. A non-nil error is arena backpressure (node or value slabs);
-	// nothing was stored.
+	// nothing was stored and the caller should shed or retry.
 	PutB(key uint64, val, dst []byte) (old []byte, existed bool, err error)
 
-	// ScanB is Scan with byte values. val is thread-owned scratch, valid
-	// only until fn returns — copy to retain.
+	// ScanB visits up to limit live entries (limit < 0 for all),
+	// stopping early when fn returns false, and returns the number
+	// visited. The scan is weakly consistent under concurrent updates.
+	// val is thread-owned scratch, valid only until fn returns — copy to
+	// retain.
 	ScanB(limit int, fn func(key uint64, val []byte) bool) int
 
 	// Clear unlinks every entry and flushes this worker's deferred work.
@@ -89,19 +77,15 @@ type VersionedMapThread interface {
 	// the key remains bound.
 	DeleteV(key uint64) (bool, error)
 
-	// GetAt returns key's value as of version timestamp ts. The caller
-	// must hold a lease with TS ≥ ts on the table's VersionSource.
-	GetAt(ts, key uint64) (uint64, bool)
-
-	// ScanAt visits up to limit entries as of ts (limit < 0 for all),
-	// stopping early when fn returns false. Unlike Scan, the visited
-	// rows form one atomic point-in-time snapshot across all keys.
-	ScanAt(ts uint64, limit int, fn func(key, val uint64) bool) int
-
-	// GetAtB is GetAt with the bytes appended to dst (byte tables only).
+	// GetAtB appends key's bytes as of version timestamp ts to dst. The
+	// caller must hold a lease with TS ≥ ts on the table's
+	// VersionSource.
 	GetAtB(ts, key uint64, dst []byte) ([]byte, bool)
 
-	// ScanAtB is ScanAt with byte rows (scratch val, as ScanB).
+	// ScanAtB visits up to limit entries as of ts (limit < 0 for all),
+	// stopping early when fn returns false. Unlike ScanB, the visited
+	// rows form one atomic point-in-time snapshot across all keys
+	// (scratch val, as ScanB).
 	ScanAtB(ts uint64, limit int, fn func(key uint64, val []byte) bool) int
 }
 
@@ -145,19 +129,20 @@ const (
 type CacheThread interface {
 	MapThread
 
-	// PutEx binds key to val with expiry deadline exp (0 = no TTL).
-	// When the key was present AND live, the old value is returned with
-	// existed == true and ref is zero (the index record of the reused
-	// node stays valid). On a fresh link, ref carries the weak reference
-	// the caller must hand to the eviction index. reaped counts expired
-	// nodes this call unlinked along the way (attribute them to expiry).
-	// A non-nil error is arena backpressure: nothing was stored.
-	PutEx(key, val, exp, now uint64) (old uint64, existed bool, ref CacheRef, reaped int, err error)
+	// PutExB binds key to val's bytes with expiry deadline exp (0 = no
+	// TTL). When the key was present AND live, the old bytes are
+	// appended to dst with existed == true and ref is zero (the index
+	// record of the reused node stays valid). On a fresh link, ref
+	// carries the weak reference the caller must hand to the eviction
+	// index. reaped counts expired nodes this call unlinked along the way
+	// (attribute them to expiry). A non-nil error is arena backpressure:
+	// nothing was stored.
+	PutExB(key uint64, val []byte, exp, now uint64, dst []byte) (old []byte, existed bool, ref CacheRef, reaped int, err error)
 
-	// GetEx returns key's value if present and live, stamping the clock
-	// referenced bit. A non-zero newExp also replaces the deadline
-	// (GETEX's TTL-touch). reaped counts lazily-expired unlinks.
-	GetEx(key, newExp, now uint64) (val uint64, hit bool, reaped int)
+	// GetExB appends key's bytes to dst if present and live, stamping
+	// the clock referenced bit. A non-zero newExp also replaces the
+	// deadline (GETEX's TTL-touch). reaped counts lazily-expired unlinks.
+	GetExB(key, newExp, now uint64, dst []byte) (val []byte, hit bool, reaped int)
 
 	// ExpireAt replaces key's deadline (1 expires it immediately),
 	// reporting whether the key was present and live.
@@ -198,18 +183,8 @@ type CacheThread interface {
 	// than they allocate (the expiry sweeper).
 	Drain()
 
-	// ScanLive visits up to limit present-and-live entries (limit < 0
-	// for all), like Scan but TTL-aware.
-	ScanLive(now uint64, limit int, fn func(key, val uint64) bool) int
-
-	// PutExB is PutEx with byte values (byte tables only): val's bytes
-	// are stored, any displaced live value's bytes are appended to dst.
-	PutExB(key uint64, val []byte, exp, now uint64, dst []byte) (old []byte, existed bool, ref CacheRef, reaped int, err error)
-
-	// GetExB is GetEx with the bytes appended to dst.
-	GetExB(key, newExp, now uint64, dst []byte) (val []byte, hit bool, reaped int)
-
-	// ScanLiveB is ScanLive with byte values (scratch val, as ScanB).
+	// ScanLiveB visits up to limit present-and-live entries (limit < 0
+	// for all), like ScanB but TTL-aware.
 	ScanLiveB(now uint64, limit int, fn func(key uint64, val []byte) bool) int
 }
 

@@ -8,10 +8,10 @@ import (
 	"cdrc/internal/ds"
 )
 
-// Byte-valued map operations (DESIGN.md §13). A byte table
-// (HashTable.EnableByteValues) stores each value's bytes inline in a
-// size-class slab and carries the packed vals ref in the node's Val word
-// where the uint64 paths carry the value itself. The protocols:
+// Byte-valued map operations (DESIGN.md §13). Map, cache and versioned
+// tables have one value plane (HashTable.EnableByteValues): each value's
+// bytes live inline in a size-class slab, and the node's Val word
+// carries the packed vals ref (0 for an empty value). The protocols:
 //
 // Read (mutable Val, plain/cache tables): the node protection the caller
 // already holds (position snapshot or counted ref) keeps the node from
@@ -32,12 +32,6 @@ import (
 //
 // Returned byte slices are appended to the caller's dst (which may be
 // nil); scan callbacks receive a scratch slice valid only for the call.
-
-func (t *listThread) requireBytes() {
-	if t.b.vp == nil {
-		panic("rcds: byte operation on a uint64-valued table (EnableByteValues)")
-	}
-}
 
 // putRef copies val into the value plane with a flush-and-retry on
 // backpressure, and parks the ref in this pid's inflight cell. The
@@ -90,6 +84,12 @@ func (t *listThread) readValB(nd *listNode, dst []byte) []byte {
 		// Displaced before the announcement could land; retry. The stale
 		// announcement is simply overwritten next round.
 	}
+}
+
+// readRow is walk's row on a plain table: the node's current bytes
+// under announce-validate.
+func (t *listThread) readRow(nd *listNode, dst []byte) ([]byte, bool) {
+	return t.readValB(nd, dst), true
 }
 
 // getB returns key's current bytes appended to dst.
@@ -147,7 +147,6 @@ func (t *listThread) putB(head *core.AtomicRcPtr, key uint64, val, dst []byte) (
 
 // GetB implements ds.MapThread.
 func (t *hashThread) GetB(key uint64, dst []byte) ([]byte, bool) {
-	t.requireBytes()
 	if t.t.vsrc != nil {
 		return t.getVB(key, dst)
 	}
@@ -156,39 +155,57 @@ func (t *hashThread) GetB(key uint64, dst []byte) ([]byte, bool) {
 
 // PutB implements ds.MapThread.
 func (t *hashThread) PutB(key uint64, val, dst []byte) ([]byte, bool, error) {
-	t.requireBytes()
 	if t.t.vsrc != nil {
 		return t.putVB(key, val, dst)
 	}
 	return t.putB(t.t.bucket(key), key, val, dst)
 }
 
-// ScanB implements ds.MapThread. The val slice is scratch owned by the
-// thread, valid only until fn returns.
+// ScanB implements ds.MapThread: a weakly-consistent walk, each entry
+// resolved to its newest live version on a versioned table.
 func (t *hashThread) ScanB(limit int, fn func(key uint64, val []byte) bool) int {
-	t.requireBytes()
 	if t.t.vsrc != nil {
-		return t.scanVersionedB(limit, fn)
+		return t.walk(limit, fn, t.resolveHeadB)
+	}
+	return t.walk(limit, fn, t.readRow)
+}
+
+// walk is the one bucket walk behind every scan: bucket order under
+// snapshot protection, holding at most two snapshots at a time (within
+// the 7-slot discipline). row resolves an unmarked node's visible bytes
+// into dst, or reports false to skip the node; fn then sees them in
+// t.vbuf, thread-owned scratch valid only until fn returns. walk visits
+// up to limit rows (limit < 0 for all), stops early when fn returns
+// false, and returns the number of rows fn accepted. Each bucket's chain
+// is read at a consistent instant only per link, so the walk is weakly
+// consistent: it never observes a freed node (snapshots pin them), but
+// concurrent updates may or may not appear.
+func (t *hashThread) walk(limit int, fn func(key uint64, val []byte) bool,
+	row func(nd *listNode, dst []byte) ([]byte, bool)) int {
+	if limit == 0 {
+		return 0
 	}
 	th := t.th
 	n := 0
 	for i := range t.t.buckets {
-		if limit >= 0 && n >= limit {
-			break
-		}
 		cur := th.GetSnapshot(&t.t.buckets[i])
 		for !cur.IsNil() {
+			// cur may carry the deletion mark copied from a deleted
+			// predecessor's next word; the handle still dereferences to
+			// the live successor (marks do not affect the slot index).
 			nd := th.DerefSnapshot(cur)
 			if !nd.next.LoadRaw().HasMark(deletedMark) {
-				if limit >= 0 && n >= limit {
-					break
+				var ok bool
+				if t.vbuf, ok = row(nd, t.vbuf[:0]); ok {
+					if !fn(nd.Key, t.vbuf) {
+						th.ReleaseSnapshot(&cur)
+						return n
+					}
+					if n++; n == limit {
+						th.ReleaseSnapshot(&cur)
+						return n
+					}
 				}
-				t.vbuf = t.readValB(nd, t.vbuf[:0])
-				if !fn(nd.Key, t.vbuf) {
-					th.ReleaseSnapshot(&cur)
-					return n
-				}
-				n++
 			}
 			next := th.GetSnapshot(&nd.next)
 			th.ReleaseSnapshot(&cur)
@@ -203,7 +220,6 @@ func (t *hashThread) ScanB(limit int, fn func(key uint64, val []byte) bool) int 
 
 // PutExB implements ds.CacheThread.
 func (t *hashThread) PutExB(key uint64, val []byte, exp, now uint64, dst []byte) (old []byte, existed bool, ref ds.CacheRef, reaped int, err error) {
-	t.requireBytes()
 	vref, err := t.putRef(val)
 	if err != nil {
 		return dst, false, ds.CacheRef{}, 0, err
@@ -220,6 +236,9 @@ func (t *hashThread) PutExB(key uint64, val []byte, exp, now uint64, dst []byte)
 			}
 			oldExp := atomic.LoadUint64(&curN.Exp)
 			if !ExpLive(oldExp, now) {
+				// Expired in place: never rebind a dead node's Val (see
+				// the update discipline in cache.go) — unlink it and
+				// insert fresh on the next pass.
 				if t.reapAt(&pos, nextW) {
 					reaped++
 				}
@@ -253,7 +272,6 @@ func (t *hashThread) PutExB(key uint64, val []byte, exp, now uint64, dst []byte)
 
 // GetExB implements ds.CacheThread.
 func (t *hashThread) GetExB(key, newExp, now uint64, dst []byte) ([]byte, bool, int) {
-	t.requireBytes()
 	head := t.t.bucket(key)
 	reaped := 0
 	for {
@@ -270,6 +288,7 @@ func (t *hashThread) GetExB(key, newExp, now uint64, dst []byte) ([]byte, bool, 
 		}
 		exp := atomic.LoadUint64(&curN.Exp)
 		if !ExpLive(exp, now) {
+			// Lazy expiry: the read that finds a dead entry reaps it.
 			if t.reapAt(&pos, nextW) {
 				reaped++
 			}
@@ -287,52 +306,35 @@ func (t *hashThread) GetExB(key, newExp, now uint64, dst []byte) ([]byte, bool, 
 	}
 }
 
-// ScanLiveB implements ds.CacheThread (scratch val, as ScanB).
+// ScanLiveB implements ds.CacheThread: ScanB restricted to unexpired
+// entries.
 func (t *hashThread) ScanLiveB(now uint64, limit int, fn func(key uint64, val []byte) bool) int {
-	t.requireBytes()
-	th := t.th
-	n := 0
-	for i := range t.t.buckets {
-		if limit >= 0 && n >= limit {
-			break
+	return t.walk(limit, fn, func(nd *listNode, dst []byte) ([]byte, bool) {
+		if !ExpLive(atomic.LoadUint64(&nd.Exp), now) {
+			return dst, false
 		}
-		cur := th.GetSnapshot(&t.t.buckets[i])
-		for !cur.IsNil() {
-			nd := th.DerefSnapshot(cur)
-			if !nd.next.LoadRaw().HasMark(deletedMark) &&
-				ExpLive(atomic.LoadUint64(&nd.Exp), now) {
-				if limit >= 0 && n >= limit {
-					break
-				}
-				t.vbuf = t.readValB(nd, t.vbuf[:0])
-				if !fn(nd.Key, t.vbuf) {
-					th.ReleaseSnapshot(&cur)
-					return n
-				}
-				n++
-			}
-			next := th.GetSnapshot(&nd.next)
-			th.ReleaseSnapshot(&cur)
-			cur = next
-		}
-		th.ReleaseSnapshot(&cur)
-	}
-	return n
+		return t.readValB(nd, dst), true
+	})
 }
 
 // --- versioned tables -----------------------------------------------------
 
-// resolveHeadB is resolveHead with the copy performed under the head
-// cell's snapshot. Version cells never rebind Val, so the snapshot alone
-// (which blocks the cell's finalizer, hence the slab free) suffices — no
-// value announcement.
+// resolveHeadB appends e's newest live value to dst: the head cell,
+// unless the chain is frozen or headed by a tombstone. This is the
+// current read of versioned GetB and ScanB. A pending head is the newest
+// write, so it decides the read — and is help-stamped first (DESIGN.md
+// §10): a lease granted after this read must resolve the same version,
+// which a stamp fixed later from the live clock would hide from it. The
+// copy runs under the head cell's snapshot. Version cells never rebind
+// Val, so the snapshot alone (which blocks the cell's finalizer, hence
+// the slab free) suffices — no value announcement.
 func (t *hashThread) resolveHeadB(e *listNode, dst []byte) ([]byte, bool) {
 	th := t.th
 	hs := th.GetSnapshot(&e.Vers)
 	ok := false
 	if !hs.IsNil() && !hs.HasMark(versDeadMark) {
 		hc := th.DerefSnapshot(hs)
-		if atomic.LoadUint64(&hc.Key)&versTombFlag == 0 {
+		if t.stampWord(hc)&versTombFlag == 0 {
 			if r := atomic.LoadUint64(&hc.Val); r&arena.ValueRefTag != 0 {
 				dst = t.b.vp.AppendTo(dst, r)
 			}
@@ -343,12 +345,20 @@ func (t *hashThread) resolveHeadB(e *listNode, dst []byte) ([]byte, bool) {
 	return dst, ok
 }
 
-// resolveAtB is resolveAt with the copy under the resolved cell's
-// snapshot (see resolveHeadB).
+// resolveAtB appends e's value as of ts to dst: the first cell from the
+// head with a (help-)fixed stamp ≤ ts. Pending cells get stamped from
+// the live clock — necessarily > ts — and skipped; tombstones report
+// absent. Walking off the end means the key was born after ts. The copy
+// runs under the resolved cell's snapshot (see resolveHeadB).
 func (t *hashThread) resolveAtB(e *listNode, ts uint64, dst []byte) ([]byte, bool) {
 	th := t.th
 	cur := th.GetSnapshot(&e.Vers)
 	if cur.HasMark(versDeadMark) {
+		// Frozen chains are absent at every observable timestamp: the
+		// tombstone purge freezes only once the tombstone's stamp is ≤
+		// MinActive, and the allocation-free delete fallback freezes only
+		// with no lease active — either way no current or future lease's
+		// ts predates the logical delete.
 		th.ReleaseSnapshot(&cur)
 		return dst, false
 	}
@@ -385,10 +395,13 @@ func (t *hashThread) getVB(key uint64, dst []byte) ([]byte, bool) {
 	return dst, ok
 }
 
-// putVB prepends a version cell carrying val's ref. No RetireValue
-// anywhere: a versioned table's displaced values stay reachable as
-// history, and each cell's ref is freed by the finalizer cascade when
-// maintainVers trims the cell (or the entry dies).
+// putVB prepends a version cell carrying val's ref (insert and replace
+// are the same write; a tombstone head reports existed == false). The
+// replaced value is the newest version at the moment the new cell was
+// published. No RetireValue anywhere: a versioned table's displaced
+// values stay reachable as history, and each cell's ref is freed by the
+// finalizer cascade when maintainVers trims the cell (or the entry
+// dies).
 func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 	th := t.th
 	ref, err := t.putRef(val)
@@ -429,8 +442,10 @@ func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 		headTomb := true
 		var headOwned core.RcPtr
 		if !hs.IsNil() {
+			// The head decides existed, so stamp it first (see
+			// resolveHeadB).
 			hc := th.DerefSnapshot(hs)
-			headTomb = atomic.LoadUint64(&hc.Key)&versTombFlag != 0
+			headTomb = t.stampWord(hc)&versTombFlag != 0
 			headRef = atomic.LoadUint64(&hc.Val)
 			headOwned = th.RcFromSnapshot(hs)
 		}
@@ -476,44 +491,10 @@ func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 	}
 }
 
-// scanVersionedB is the weakly-consistent byte scan (newest live version
-// per entry; scratch val as ScanB).
-func (t *hashThread) scanVersionedB(limit int, fn func(key uint64, val []byte) bool) int {
-	th := t.th
-	n := 0
-	for i := range t.t.buckets {
-		if limit >= 0 && n >= limit {
-			break
-		}
-		cur := th.GetSnapshot(&t.t.buckets[i])
-		for !cur.IsNil() {
-			nd := th.DerefSnapshot(cur)
-			if !nd.next.LoadRaw().HasMark(deletedMark) {
-				if limit >= 0 && n >= limit {
-					break
-				}
-				var ok bool
-				t.vbuf, ok = t.resolveHeadB(nd, t.vbuf[:0])
-				if ok {
-					if !fn(nd.Key, t.vbuf) {
-						th.ReleaseSnapshot(&cur)
-						return n
-					}
-					n++
-				}
-			}
-			next := th.GetSnapshot(&nd.next)
-			th.ReleaseSnapshot(&cur)
-			cur = next
-		}
-		th.ReleaseSnapshot(&cur)
-	}
-	return n
-}
-
-// GetAtB implements ds.VersionedMapThread.
+// GetAtB implements ds.VersionedMapThread. A key whose entry was purged
+// reports absent, which is consistent: purging requires the tombstone's
+// stamp ≤ MinActive ≤ every live lease's ts.
 func (t *hashThread) GetAtB(ts, key uint64, dst []byte) ([]byte, bool) {
-	t.requireBytes()
 	if t.t.vsrc == nil {
 		panic("rcds: GetAtB on an unversioned table")
 	}
@@ -526,38 +507,13 @@ func (t *hashThread) GetAtB(ts, key uint64, dst []byte) ([]byte, bool) {
 	return dst, ok
 }
 
-// ScanAtB implements ds.VersionedMapThread: ScanAt's point-in-time
-// atomicity with byte rows (scratch val as ScanB).
+// ScanAtB implements ds.VersionedMapThread: the rows form one
+// point-in-time snapshot across every key — all writes stamped ≤ ts,
+// none stamped later. Entries skipped for a Harris mark are safe to skip:
+// versioned tables mark an entry only after freezing it on a tombstone
+// no live lease can see past.
 func (t *hashThread) ScanAtB(ts uint64, limit int, fn func(key uint64, val []byte) bool) int {
-	t.requireBytes()
-	th := t.th
-	n := 0
-	for i := range t.t.buckets {
-		if limit >= 0 && n >= limit {
-			break
-		}
-		cur := th.GetSnapshot(&t.t.buckets[i])
-		for !cur.IsNil() {
-			nd := th.DerefSnapshot(cur)
-			if !nd.next.LoadRaw().HasMark(deletedMark) {
-				if limit >= 0 && n >= limit {
-					break
-				}
-				var ok bool
-				t.vbuf, ok = t.resolveAtB(nd, ts, t.vbuf[:0])
-				if ok {
-					if !fn(nd.Key, t.vbuf) {
-						th.ReleaseSnapshot(&cur)
-						return n
-					}
-					n++
-				}
-			}
-			next := th.GetSnapshot(&nd.next)
-			th.ReleaseSnapshot(&cur)
-			cur = next
-		}
-		th.ReleaseSnapshot(&cur)
-	}
-	return n
+	return t.walk(limit, fn, func(nd *listNode, dst []byte) ([]byte, bool) {
+		return t.resolveAtB(nd, ts, dst)
+	})
 }

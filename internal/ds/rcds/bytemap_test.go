@@ -340,8 +340,9 @@ func TestByteObsIdentity(t *testing.T) {
 }
 
 // TestByteMapAllocsSteadyState pins the data-plane zero-allocation
-// claim end to end: warm GetB/PutB cycles on a byte table perform no Go
-// heap allocation (node slab, value slab, and scan scratch all recycle).
+// claim end to end: warm GetB/PutB/ScanB cycles on a byte table perform
+// no Go heap allocation (node slab, value slab, and scan scratch all
+// recycle, and the scan's row closure stays on the stack).
 func TestByteMapAllocsSteadyState(t *testing.T) {
 	h := NewHashTable(16, 1, true)
 	h.EnableByteValues(t.Name())
@@ -359,9 +360,276 @@ func TestByteMapAllocsSteadyState(t *testing.T) {
 			t.Fatal(err)
 		}
 		dst, _ = m.GetB(11, dst[:0])
+		m.ScanB(-1, func(uint64, []byte) bool { return true })
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state PutB/GetB allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state PutB/GetB/ScanB allocates %.1f/op, want 0", allocs)
 	}
 	_ = vals.NumClasses // anchor: the claim covers every inline class
+}
+
+// markOnly sets the Harris mark on key's node without unlinking it, as
+// a deleter paused between its mark and its unlink leaves it (EvictStep
+// does the same on purpose). Any later search of the bucket finishes the
+// unlink, so only scans may follow.
+func markOnly(t *testing.T, h *HashTable, key uint64) {
+	t.Helper()
+	m := h.AttachMap().(*hashThread)
+	defer m.Detach()
+	pos := m.search(h.bucket(key), key)
+	defer m.releasePos(&pos)
+	if !pos.found {
+		t.Fatalf("markOnly: key %d absent", key)
+	}
+	nd := m.deref(pos.curSnap, pos.curRc)
+	if !m.th.CompareAndSetMark(&nd.next, nd.next.LoadRaw(), deletedMark) {
+		t.Fatalf("markOnly: key %d mark lost", key)
+	}
+}
+
+// TestScanWalk drives the one bucket walk through each scan that shares
+// it — ScanB on plain and versioned tables, ScanLiveB on a cache table,
+// ScanAtB at a lease timestamp — and checks the same contract on each:
+// limit 0, 1, a few and all; an early stop when fn returns false; and
+// the rows the scan must skip (marked nodes everywhere, expired entries
+// for ScanLiveB, tombstones and later writes for the versioned scans).
+func TestScanWalk(t *testing.T) {
+	const keys = 12
+	const now = uint64(1000)
+	type scanFn func(limit int, fn func(key uint64, val []byte) bool) int
+	cases := []struct {
+		name  string
+		table func(t *testing.T) *HashTable
+		// setup returns the scan under test, the rows it must visit, and
+		// a teardown to run before the quiescence check.
+		setup func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func())
+	}{
+		{
+			name:  "plain/ScanB",
+			table: func(t *testing.T) *HashTable { return newByteTable(t, 8, 2, true) },
+			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
+				m := h.AttachMap()
+				want := map[uint64][]byte{}
+				for k := uint64(1); k <= keys; k++ {
+					v := bval(k, 1, 300)
+					if _, _, err := m.PutB(k, v, nil); err != nil {
+						t.Fatal(err)
+					}
+					want[k] = v
+				}
+				markOnly(t, h, 5)
+				delete(want, 5)
+				return m.ScanB, want, m.Detach
+			},
+		},
+		{
+			name:  "cache/ScanLiveB",
+			table: func(t *testing.T) *HashTable { return newByteTable(t, 8, 2, true) },
+			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
+				c := h.AttachCache()
+				want := map[uint64][]byte{}
+				var refs []ds.CacheRef
+				for k := uint64(1); k <= keys; k++ {
+					v := bval(k, 2, 300)
+					exp := uint64(0)
+					switch k {
+					case 3, 7:
+						exp = now - 1 // expired at now
+					case 9:
+						exp = now + 100 // live at now
+					}
+					_, _, ref, _, err := c.PutExB(k, v, exp, now-10, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refs = append(refs, ref)
+					if k != 3 && k != 7 {
+						want[k] = v
+					}
+				}
+				markOnly(t, h, 5)
+				delete(want, 5)
+				scan := func(limit int, fn func(key uint64, val []byte) bool) int {
+					return c.ScanLiveB(now, limit, fn)
+				}
+				return scan, want, func() {
+					for _, ref := range refs {
+						c.DropRef(ref)
+					}
+					c.Detach()
+				}
+			},
+		},
+		{
+			name:  "versioned/ScanB",
+			table: newVersionedByteTable,
+			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
+				m, _, _, cur, release := versionedScanFixture(t, h)
+				return m.ScanB, cur, release
+			},
+		},
+		{
+			name:  "versioned/ScanAtB",
+			table: newVersionedByteTable,
+			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
+				m, ts, atTS, _, release := versionedScanFixture(t, h)
+				scan := func(limit int, fn func(key uint64, val []byte) bool) int {
+					return m.ScanAtB(ts, limit, fn)
+				}
+				return scan, atTS, release
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.table(t)
+			scan, want, teardown := tc.setup(t, h)
+
+			seen := map[uint64][]byte{}
+			collect := func(key uint64, val []byte) bool {
+				if _, dup := seen[key]; dup {
+					t.Errorf("key %d visited twice", key)
+				}
+				seen[key] = append([]byte(nil), val...)
+				return true
+			}
+			for _, limit := range []int{-1, len(want), len(want) + 5} {
+				clear(seen)
+				if n := scan(limit, collect); n != len(want) || len(seen) != len(want) {
+					t.Fatalf("limit %d: visited %d rows (%d distinct), want %d", limit, n, len(seen), len(want))
+				}
+				for k, v := range want {
+					if !bytes.Equal(seen[k], v) {
+						t.Fatalf("limit %d: key %d visible=%v with wrong or missing bytes", limit, k, seen[k] != nil)
+					}
+				}
+			}
+			for _, limit := range []int{0, 1, 3} {
+				clear(seen)
+				if n := scan(limit, collect); n != limit || len(seen) != limit {
+					t.Fatalf("limit %d: visited %d rows (%d distinct)", limit, n, len(seen))
+				}
+				for k, v := range seen {
+					if !bytes.Equal(want[k], v) {
+						t.Fatalf("limit %d: row %d must be skipped or has wrong bytes", limit, k)
+					}
+				}
+			}
+			calls := 0
+			n := scan(-1, func(uint64, []byte) bool {
+				calls++
+				return calls < 3
+			})
+			if calls != 3 || n != 2 {
+				t.Fatalf("early stop: fn called %d times, scan returned %d; want 3 and 2", calls, n)
+			}
+
+			teardown()
+			checkByteQuiescence(t, h)
+		})
+	}
+}
+
+func newVersionedByteTable(t *testing.T) *HashTable {
+	t.Helper()
+	h := NewVersionedHashTable(8, 2, snaplease.NewPool(2))
+	h.EnableByteValues(t.Name())
+	h.EnableDebugChecks()
+	return h
+}
+
+// versionedScanFixture writes keys 1..12, then under a retention lease
+// deletes key 8, takes the scan lease ts, and after it replaces key 2,
+// deletes key 4, adds key 13 and marks key 6. It returns ts, the rows
+// visible as of ts and currently, and a release for both leases and the
+// thread.
+func versionedScanFixture(t *testing.T, h *HashTable) (m *hashThread, ts uint64, atTS, cur map[uint64][]byte, release func()) {
+	t.Helper()
+	lp := h.vsrc.(*snaplease.Pool)
+	m = h.AttachMap().(*hashThread)
+	for k := uint64(1); k <= 12; k++ {
+		if _, _, err := m.PutB(k, bval(k, 1, 300), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The retention lease keeps key 8's tombstone from being purged, so
+	// both scans meet it as a row to skip.
+	keep, ok := lp.Acquire(m.th.ProcID())
+	if !ok {
+		t.Fatal("lease")
+	}
+	if hit, err := m.DeleteV(8); !hit || err != nil {
+		t.Fatalf("DeleteV(8): %v %v", hit, err)
+	}
+	at, ok := lp.Acquire(m.th.ProcID())
+	if !ok {
+		t.Fatal("lease")
+	}
+	ts = at.TS()
+	if _, _, err := m.PutB(2, bval(2, 2, 300), nil); err != nil {
+		t.Fatal(err)
+	}
+	if hit, err := m.DeleteV(4); !hit || err != nil {
+		t.Fatalf("DeleteV(4): %v %v", hit, err)
+	}
+	if _, _, err := m.PutB(13, bval(13, 1, 300), nil); err != nil {
+		t.Fatal(err)
+	}
+	markOnly(t, h, 6)
+	atTS, cur = map[uint64][]byte{}, map[uint64][]byte{}
+	for k := uint64(1); k <= 12; k++ {
+		if k != 6 && k != 8 {
+			atTS[k] = bval(k, 1, 300)
+		}
+		if k != 4 && k != 6 && k != 8 {
+			cur[k] = bval(k, 1, 300)
+		}
+	}
+	cur[2] = bval(2, 2, 300)
+	cur[13] = bval(13, 1, 300)
+	return m, ts, atTS, cur, func() {
+		at.Release(0)
+		keep.Release(0)
+		m.Detach()
+	}
+}
+
+// TestAttachRequiresValuePlane pins the attach guard: map and cache
+// threads exist only on a table with a value plane, so a table without
+// one is refused at attach rather than on every operation. The set API
+// stays available on such a table.
+func TestAttachRequiresValuePlane(t *testing.T) {
+	tables := map[string]func() *HashTable{
+		"plain":     func() *HashTable { return NewHashTable(16, 2, true) },
+		"versioned": func() *HashTable { return NewVersionedHashTable(16, 2, snaplease.NewPool(2)) },
+	}
+	attaches := map[string]func(h *HashTable){
+		"AttachMap":   func(h *HashTable) { h.AttachMap() },
+		"AttachCache": func(h *HashTable) { h.AttachCache() },
+	}
+	for tn, mk := range tables {
+		for an, attach := range attaches {
+			t.Run(tn+"/"+an, func(t *testing.T) {
+				h := mk()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s on a table without a value plane did not panic", an)
+						}
+					}()
+					attach(h)
+				}()
+				// The refused attach took no processor id: both ids are
+				// still free for the set API.
+				a, b := h.Attach(), h.Attach()
+				a.Insert(1)
+				if !b.Contains(1) {
+					t.Fatal("set API broken after a refused attach")
+				}
+				a.Delete(1)
+				a.Detach()
+				b.Detach()
+			})
+		}
+	}
 }

@@ -23,7 +23,7 @@ func EntryBytes() uint64 { return uint64(unsafe.Sizeof(listNode{})) }
 //
 // Update discipline (load-bearing for linearizability, see the lincheck
 // TTL model): while a node is linked, Val may change only between two
-// LIVE states (PutEx replaces an expired node by unlink+fresh-insert, it
+// LIVE states (PutExB replaces an expired node by unlink+fresh-insert, it
 // never writes Val on a dead node), and Exp alone may change at any time.
 // A reader that observes a torn (Exp, Val) pair therefore still returns a
 // linearizable result: any Val it can read was bound while live.
@@ -42,16 +42,15 @@ func ExpLive(exp, now uint64) bool {
 }
 
 // AttachCache registers the calling goroutine for cache operations. Any
-// hash table supports them; the caller is responsible for routing every
-// fresh-link CacheRef into its eviction index.
-func (h *HashTable) AttachCache() ds.CacheThread {
-	return h.Attach().(*hashThread)
-}
+// hash table with a value plane supports them (it panics otherwise, as
+// AttachMap); the caller is responsible for routing every fresh-link
+// CacheRef into its eviction index.
+func (h *HashTable) AttachCache() ds.CacheThread { return h.attachValued() }
 
 // tryLinkCache is tryLink plus an Exp stamp and a weak reference to the
 // new node, minted under the pre-CAS strong reference so the index can
 // track the entry without keeping it alive.
-func (t *listThread) tryLinkCache(pos *position, key, val, exp uint64) (bool, core.WeakPtr, error) {
+func (t *listThread) tryLinkCache(pos *position, key, ref, exp uint64) (bool, core.WeakPtr, error) {
 	th := t.th
 	var curOwned core.RcPtr
 	if !pos.curSnap.IsNil() {
@@ -61,7 +60,7 @@ func (t *listThread) tryLinkCache(pos *position, key, val, exp uint64) (bool, co
 	}
 	init := func(nd *listNode) {
 		nd.Key = key
-		atomic.StoreUint64(&nd.Val, val)
+		atomic.StoreUint64(&nd.Val, ref)
 		// No referenced bit on a fresh insert: only reads stamp it, so
 		// write-once churn stays immediately evictable (scan-resistant
 		// clock) while read keys earn their second chance.
@@ -83,8 +82,8 @@ func (t *listThread) tryLinkCache(pos *position, key, val, exp uint64) (bool, co
 		return true, w, nil
 	}
 	th.ReleaseWeak(w)
-	// Unpublished: strip Val so a byte-mode caller keeps its parked vals
-	// ref for the retry (see tryLink).
+	// Unpublished: strip Val so the caller keeps its parked vals ref for
+	// the retry (see tryLink).
 	atomic.StoreUint64(&th.Deref(n).Val, 0)
 	th.Release(n) // finalizer releases curOwned
 	return false, core.NilWeakPtr, nil
@@ -105,81 +104,6 @@ func (t *listThread) reapAt(pos *position, nextW core.RcPtr) bool {
 		// A later search will finish the unlink.
 	}
 	return true
-}
-
-// PutEx implements ds.CacheThread.
-func (t *hashThread) PutEx(key, val, exp, now uint64) (old uint64, existed bool, ref ds.CacheRef, reaped int, err error) {
-	head := t.t.bucket(key)
-	for {
-		pos := t.search(head, key)
-		if pos.found {
-			curN := t.deref(pos.curSnap, pos.curRc)
-			nextW := curN.next.LoadRaw()
-			if nextW.HasMark(deletedMark) {
-				t.releasePos(&pos)
-				continue
-			}
-			oldExp := atomic.LoadUint64(&curN.Exp)
-			if !ExpLive(oldExp, now) {
-				// Expired in place: never rebind a dead node's Val (see
-				// the update discipline above) — unlink it and insert
-				// fresh on the next pass.
-				if t.reapAt(&pos, nextW) {
-					reaped++
-				}
-				t.releasePos(&pos)
-				continue
-			}
-			atomic.StoreUint64(&curN.Exp, exp|ExpRefBit)
-			old = atomic.SwapUint64(&curN.Val, val)
-			t.releasePos(&pos)
-			return old, true, ds.CacheRef{}, reaped, nil
-		}
-		linked, w, lerr := t.tryLinkCache(&pos, key, val, exp)
-		t.releasePos(&pos)
-		if lerr != nil {
-			return 0, false, ds.CacheRef{}, reaped, lerr
-		}
-		if linked {
-			return 0, false, ds.CacheRef{Key: key, Word: w.Word()}, reaped, nil
-		}
-	}
-}
-
-// GetEx implements ds.CacheThread.
-func (t *hashThread) GetEx(key, newExp, now uint64) (uint64, bool, int) {
-	head := t.t.bucket(key)
-	reaped := 0
-	for {
-		pos := t.search(head, key)
-		if !pos.found {
-			t.releasePos(&pos)
-			return 0, false, reaped
-		}
-		curN := t.deref(pos.curSnap, pos.curRc)
-		nextW := curN.next.LoadRaw()
-		if nextW.HasMark(deletedMark) {
-			t.releasePos(&pos)
-			continue
-		}
-		exp := atomic.LoadUint64(&curN.Exp)
-		if !ExpLive(exp, now) {
-			// Lazy expiry: the read that finds a dead entry reaps it.
-			if t.reapAt(&pos, nextW) {
-				reaped++
-			}
-			t.releasePos(&pos)
-			return 0, false, reaped
-		}
-		if newExp != 0 {
-			atomic.StoreUint64(&curN.Exp, newExp|ExpRefBit)
-		} else {
-			atomic.OrUint64(&curN.Exp, ExpRefBit)
-		}
-		v := atomic.LoadUint64(&curN.Val)
-		t.releasePos(&pos)
-		return v, true, reaped
-	}
 }
 
 // ExpireAt implements ds.CacheThread.
@@ -341,36 +265,4 @@ func (t *hashThread) Flush() { t.th.Flush() }
 func (t *hashThread) Drain() {
 	t.th.Flush()
 	t.th.DrainArena()
-}
-
-// ScanLive implements ds.CacheThread: Scan restricted to unexpired
-// entries (same weak consistency, same two-snapshot discipline).
-func (t *hashThread) ScanLive(now uint64, limit int, fn func(key, val uint64) bool) int {
-	th := t.th
-	n := 0
-	for i := range t.t.buckets {
-		if limit >= 0 && n >= limit {
-			break
-		}
-		cur := th.GetSnapshot(&t.t.buckets[i])
-		for !cur.IsNil() {
-			nd := th.DerefSnapshot(cur)
-			if !nd.next.LoadRaw().HasMark(deletedMark) &&
-				ExpLive(atomic.LoadUint64(&nd.Exp), now) {
-				if limit >= 0 && n >= limit {
-					break
-				}
-				if !fn(nd.Key, atomic.LoadUint64(&nd.Val)) {
-					th.ReleaseSnapshot(&cur)
-					return n
-				}
-				n++
-			}
-			next := th.GetSnapshot(&nd.next)
-			th.ReleaseSnapshot(&cur)
-			cur = next
-		}
-		th.ReleaseSnapshot(&cur)
-	}
-	return n
 }

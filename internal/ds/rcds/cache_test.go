@@ -1,11 +1,29 @@
 package rcds
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 
 	"cdrc/internal/ds"
 )
+
+// u64b encodes a uint64 as an 8-byte little-endian value body, so the
+// cache tests and the lincheck TTL model can reason about integer values.
+func u64b(v uint64) []byte {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return b[:]
+}
+
+// bu64 decodes the first 8 bytes (0 for shorter slices, so an absent
+// value maps to the model's zero).
+func bu64(b []byte) uint64 {
+	if len(b) < 8 {
+		return 0
+	}
+	return binary.LittleEndian.Uint64(b)
+}
 
 // now values for the tests: deadlines are plain numbers on a logical
 // clock, nothing here sleeps.
@@ -17,6 +35,7 @@ const (
 func newCacheTable(t *testing.T) (*HashTable, ds.CacheThread) {
 	t.Helper()
 	h := NewHashTable(64, 8, true)
+	h.EnableByteValues(t.Name())
 	h.EnableDebugChecks()
 	return h, h.AttachCache()
 }
@@ -24,30 +43,35 @@ func newCacheTable(t *testing.T) (*HashTable, ds.CacheThread) {
 func quiesce(t *testing.T, h *HashTable, th ds.CacheThread) {
 	t.Helper()
 	th.Clear()
+	th.Drain()
 	th.Detach()
-	for i := 0; i < 4 && h.LiveNodes() != 0; i++ {
+	for i := 0; i < 4 && (h.LiveNodes() != 0 || h.ByteValues().Live() != 0); i++ {
 		x := h.AttachCache()
 		x.Clear()
+		x.Drain()
 		x.Detach()
 	}
 	if n := h.LiveNodes(); n != 0 {
 		t.Fatalf("%d nodes leaked", n)
 	}
+	if n := h.ByteValues().Live(); n != 0 {
+		t.Fatalf("%d value slabs leaked", n)
+	}
 }
 
 func TestCachePutExFreshLinkYieldsRef(t *testing.T) {
 	h, th := newCacheTable(t)
-	old, existed, ref, reaped, err := th.PutEx(1, 10, 0, t0)
-	if err != nil || existed || old != 0 || reaped != 0 {
-		t.Fatalf("fresh PutEx: %d %v %d %v", old, existed, reaped, err)
+	old, existed, ref, reaped, err := th.PutExB(1, u64b(10), 0, t0, nil)
+	if err != nil || existed || len(old) != 0 || reaped != 0 {
+		t.Fatalf("fresh PutExB: %d %v %d %v", bu64(old), existed, reaped, err)
 	}
 	if ref.Word == 0 || ref.Key != 1 {
-		t.Fatalf("fresh PutEx ref = %+v, want weak ref for key 1", ref)
+		t.Fatalf("fresh PutExB ref = %+v, want weak ref for key 1", ref)
 	}
 	// Replace in place: no new ref.
-	old, existed, ref2, _, _ := th.PutEx(1, 20, 0, t0)
-	if !existed || old != 10 || ref2.Word != 0 {
-		t.Fatalf("replace PutEx: %d %v %+v", old, existed, ref2)
+	old, existed, ref2, _, _ := th.PutExB(1, u64b(20), 0, t0, nil)
+	if !existed || bu64(old) != 10 || ref2.Word != 0 {
+		t.Fatalf("replace PutExB: %d %v %+v", bu64(old), existed, ref2)
 	}
 	th.DropRef(ref)
 	quiesce(t, h, th)
@@ -55,13 +79,13 @@ func TestCachePutExFreshLinkYieldsRef(t *testing.T) {
 
 func TestCacheExpiredReadReaps(t *testing.T) {
 	h, th := newCacheTable(t)
-	_, _, ref, _, _ := th.PutEx(1, 10, t0+50, t0)
-	if v, hit, _ := th.GetEx(1, 0, t0); !hit || v != 10 {
-		t.Fatalf("live GetEx: %d %v", v, hit)
+	_, _, ref, _, _ := th.PutExB(1, u64b(10), t0+50, t0, nil)
+	if v, hit, _ := th.GetExB(1, 0, t0, nil); !hit || bu64(v) != 10 {
+		t.Fatalf("live GetExB: %d %v", bu64(v), hit)
 	}
 	// Past the deadline the read must miss AND unlink (count one expiry).
-	if _, hit, reaped := th.GetEx(1, 0, t1); hit || reaped != 1 {
-		t.Fatalf("expired GetEx: hit=%v reaped=%d", hit, reaped)
+	if _, hit, reaped := th.GetExB(1, 0, t1, nil); hit || reaped != 1 {
+		t.Fatalf("expired GetExB: hit=%v reaped=%d", hit, reaped)
 	}
 	// The index record now resolves to a dead entry.
 	if out := th.EvictStep(ref, t1); out != ds.EvictGone {
@@ -72,10 +96,10 @@ func TestCacheExpiredReadReaps(t *testing.T) {
 
 func TestCacheEvictStepSecondChance(t *testing.T) {
 	h, th := newCacheTable(t)
-	_, _, ref, _, _ := th.PutEx(1, 10, 0, t0)
+	_, _, ref, _, _ := th.PutExB(1, u64b(10), 0, t0, nil)
 	// A read stamps the referenced bit: the next step spares.
-	if _, hit, _ := th.GetEx(1, 0, t0); !hit {
-		t.Fatal("GetEx missed a live key")
+	if _, hit, _ := th.GetExB(1, 0, t0, nil); !hit {
+		t.Fatal("GetExB missed a live key")
 	}
 	if out := th.EvictStep(ref, t0); out != ds.EvictSpare {
 		t.Fatalf("first EvictStep = %v, want EvictSpare", out)
@@ -85,7 +109,7 @@ func TestCacheEvictStepSecondChance(t *testing.T) {
 		t.Fatalf("second EvictStep = %v, want EvictEvicted", out)
 	}
 	th.Reap(1)
-	if _, hit, _ := th.GetEx(1, 0, t0); hit {
+	if _, hit, _ := th.GetExB(1, 0, t0, nil); hit {
 		t.Fatal("evicted key still readable")
 	}
 	quiesce(t, h, th)
@@ -93,7 +117,7 @@ func TestCacheEvictStepSecondChance(t *testing.T) {
 
 func TestCacheEvictStepExpired(t *testing.T) {
 	h, th := newCacheTable(t)
-	_, _, ref, _, _ := th.PutEx(1, 10, t0+50, t0)
+	_, _, ref, _, _ := th.PutExB(1, u64b(10), t0+50, t0, nil)
 	if out := th.EvictStep(ref, t1); out != ds.EvictExpired {
 		t.Fatalf("EvictStep past deadline = %v, want EvictExpired", out)
 	}
@@ -103,7 +127,7 @@ func TestCacheEvictStepExpired(t *testing.T) {
 
 func TestCacheDelExOnExpiredReportsAbsent(t *testing.T) {
 	h, th := newCacheTable(t)
-	_, _, ref, _, _ := th.PutEx(1, 10, t0+50, t0)
+	_, _, ref, _, _ := th.PutExB(1, u64b(10), t0+50, t0, nil)
 	ok, reaped := th.DelEx(1, t1)
 	if ok || reaped != 1 {
 		t.Fatalf("DelEx on expired: ok=%v reaped=%d, want miss + 1 expiry", ok, reaped)
@@ -114,7 +138,7 @@ func TestCacheDelExOnExpiredReportsAbsent(t *testing.T) {
 
 func TestCacheExpireAtShortensAndReaps(t *testing.T) {
 	h, th := newCacheTable(t)
-	_, _, ref, _, _ := th.PutEx(1, 10, 0, t0)
+	_, _, ref, _, _ := th.PutExB(1, u64b(10), 0, t0, nil)
 	if ok, _ := th.ExpireAt(1, t0+10, t0); !ok {
 		t.Fatal("ExpireAt on live key reported absent")
 	}
@@ -131,17 +155,17 @@ func TestCacheExpireAtShortensAndReaps(t *testing.T) {
 // leave nothing pinned once the table is cleared.
 func TestEvictSpareKeepsRef(t *testing.T) {
 	h, th := newCacheTable(t)
-	_, _, ref, _, _ := th.PutEx(1, 10, 0, t0)
+	_, _, ref, _, _ := th.PutExB(1, u64b(10), 0, t0, nil)
 	for i := 0; i < 2; i++ {
-		if _, hit, _ := th.GetEx(1, 0, t0); !hit {
+		if _, hit, _ := th.GetExB(1, 0, t0, nil); !hit {
 			t.Fatalf("touch %d missed", i)
 		}
 		if out := th.EvictStep(ref, t0); out != ds.EvictSpare {
 			t.Fatalf("EvictStep after touch %d = %v, want EvictSpare", i, out)
 		}
 	}
-	if v, hit, _ := th.GetEx(1, 0, t0); !hit || v != 10 {
-		t.Fatalf("twice-spared entry: %d %v, want resident 10", v, hit)
+	if v, hit, _ := th.GetExB(1, 0, t0, nil); !hit || bu64(v) != 10 {
+		t.Fatalf("twice-spared entry: %d %v, want resident 10", bu64(v), hit)
 	}
 	th.DropRef(ref)
 	quiesce(t, h, th)
@@ -153,6 +177,7 @@ func TestEvictSpareKeepsRef(t *testing.T) {
 // panic, so surviving this loop means no reader ever lost the race.
 func TestCacheEvictRacesReaders(t *testing.T) {
 	h := NewHashTable(256, 16, true)
+	h.EnableByteValues(t.Name())
 	h.EnableDebugChecks()
 	wr := h.AttachCache()
 	refs := make(chan ds.CacheRef, 4096)
@@ -165,6 +190,7 @@ func TestCacheEvictRacesReaders(t *testing.T) {
 			th := h.AttachCache()
 			defer th.Detach()
 			x := uint64(r + 1)
+			var dst []byte
 			for {
 				select {
 				case <-stop:
@@ -172,7 +198,7 @@ func TestCacheEvictRacesReaders(t *testing.T) {
 				default:
 				}
 				x = x*6364136223846793005 + 1
-				th.GetEx((x>>33)%128, 0, t0)
+				dst, _, _ = th.GetExB((x>>33)%128, 0, t0, dst[:0])
 			}
 		}(r)
 	}
@@ -200,9 +226,9 @@ func TestCacheEvictRacesReaders(t *testing.T) {
 	}()
 	for i := 0; i < 20000; i++ {
 		k := uint64(i) % 128
-		_, _, ref, _, err := wr.PutEx(k, k, 0, t0)
+		_, _, ref, _, err := wr.PutExB(k, u64b(k), 0, t0, nil)
 		if err != nil {
-			t.Fatalf("PutEx %d: %v", k, err)
+			t.Fatalf("PutExB %d: %v", k, err)
 		}
 		if ref.Word != 0 {
 			refs <- ref

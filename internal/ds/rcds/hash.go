@@ -36,14 +36,13 @@ func NewHashTable(buckets int, maxProcs int, snapshots bool) *HashTable {
 // Name implements ds.Set.
 func (h *HashTable) Name() string { return h.base.name }
 
-// EnableByteValues switches the table's map plane to variable-length
-// byte values stored inline in value slabs (DESIGN.md §13): Val words
-// carry vals refs, the byte operations (GetB/PutB/...) become legal, and
-// the uint64 value operations must no longer be used for values. Must be
-// called before any Attach — the slab pool shares the table's
-// processor-id space and is wired into the domain's adopt hook. name
-// labels the pool's per-class obs gauges. Idempotent; returns the pool
-// for capacity and stats wiring.
+// EnableByteValues gives the table its value plane: variable-length
+// byte values stored inline in value slabs (DESIGN.md §13), carried as
+// vals refs in the nodes' Val words. AttachMap and AttachCache require
+// it. Must be called before any Attach — the slab pool shares the
+// table's processor-id space and is wired into the domain's adopt hook.
+// name labels the pool's per-class obs gauges. Idempotent; returns the
+// pool for capacity and stats wiring.
 func (h *HashTable) EnableByteValues(name string) *vals.Pool {
 	if h.base.vp == nil {
 		vp := vals.New(vals.Config{Name: name, MaxProcs: h.base.procs})
@@ -53,8 +52,8 @@ func (h *HashTable) EnableByteValues(name string) *vals.Pool {
 	return h.base.vp
 }
 
-// ByteValues reports whether the table runs the byte-value plane, and
-// returns its slab pool (nil when not).
+// ByteValues returns the table's value-plane slab pool (nil on a
+// set-only table).
 func (h *HashTable) ByteValues() *vals.Pool { return h.base.vp }
 
 // Versioned reports whether the table runs the multi-versioned paths.

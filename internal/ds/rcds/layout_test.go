@@ -21,11 +21,12 @@ func TestRecordSharesLineWithHeader(t *testing.T) {
 	}
 	lp := snaplease.NewPool(2)
 	h := NewVersionedHashTable(64, 2, lp)
+	h.EnableByteValues(t.Name())
 	h.EnableDebugChecks()
 	m := h.AttachMap()
 	const keys = 3000
 	for k := uint64(0); k < keys; k++ {
-		if _, _, err := m.Put(k, k); err != nil {
+		if _, _, err := m.PutB(k, u64b(k), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -34,7 +35,7 @@ func TestRecordSharesLineWithHeader(t *testing.T) {
 		t.Fatal("lease")
 	}
 	for k := uint64(0); k < keys; k += 3 {
-		if _, _, err := m.Put(k, k+1); err != nil {
+		if _, _, err := m.PutB(k, u64b(k+1), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -107,12 +107,12 @@ func TestListSetLinearizable(t *testing.T) {
 }
 
 // TestCacheTTLLinearizable records real concurrent histories of the
-// cache ops — SetEx, GetEx-with-touch, Expire — against the TTL-aware
-// sequential model. Time is the history's own logical clock: each op
-// passes its invocation timestamp as `now` and absolute deadlines drawn
-// a few ticks ahead, so expire-vs-get races (one op re-stamping a
-// deadline while another reads or lazily reaps) must still admit a
-// legal total order.
+// cache ops — SetEx, GetEx-with-touch, Expire — on 8-byte value bodies
+// against the TTL-aware sequential model. Time is the history's own
+// logical clock: each op passes its invocation timestamp as `now` and
+// absolute deadlines drawn a few ticks ahead, so expire-vs-get races
+// (one op re-stamping a deadline while another reads or lazily reaps)
+// must still admit a legal total order.
 func TestCacheTTLLinearizable(t *testing.T) {
 	const rounds = 300
 	const workers = 3
@@ -120,6 +120,7 @@ func TestCacheTTLLinearizable(t *testing.T) {
 
 	for r := 0; r < rounds; r++ {
 		h := NewHashTable(64, workers+1, true)
+		h.EnableByteValues(t.Name())
 		h.EnableDebugChecks()
 		var clock atomic.Int64
 		hist := make([][]lincheck.Op, workers)
@@ -131,6 +132,7 @@ func TestCacheTTLLinearizable(t *testing.T) {
 				th := h.AttachCache()
 				defer th.Detach()
 				rng := rand.New(rand.NewSource(seed))
+				var dst []byte
 				for i := 0; i < opsPerWorker; i++ {
 					k := uint64(rng.Intn(lincheck.CacheModelKeys))
 					op := lincheck.Op{Start: clock.Add(1)}
@@ -144,12 +146,13 @@ func TestCacheTTLLinearizable(t *testing.T) {
 						val := uint64(rng.Intn(200) + 1)
 						op.Kind = lincheck.OpSetEx
 						op.Arg = exp<<16 | k<<8 | val
-						old, existed, ref, _, err := th.PutEx(k, val, exp, now)
+						old, existed, ref, _, err := th.PutExB(k, u64b(val), exp, now, dst[:0])
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						op.Ret, op.RetOK = old, existed
+						dst = old
+						op.Ret, op.RetOK = bu64(old), existed
 						if ref.Word != 0 {
 							th.DropRef(ref)
 						}
@@ -163,8 +166,9 @@ func TestCacheTTLLinearizable(t *testing.T) {
 					default:
 						op.Kind = lincheck.OpGetEx
 						op.Arg = exp<<16 | k<<8
-						v, hit, _ := th.GetEx(k, exp, now)
-						op.Ret, op.RetOK = v, hit
+						v, hit, _ := th.GetExB(k, exp, now, dst[:0])
+						dst = v
+						op.Ret, op.RetOK = bu64(v), hit
 					}
 					op.End = clock.Add(1)
 					hist[id] = append(hist[id], op)

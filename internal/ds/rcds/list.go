@@ -31,9 +31,11 @@ var obsAllocDrop = obs.NewCounter("rcscheme.alloc.drop")
 const deletedMark = 0
 
 // listNode is a Harris-Michael node with a counted successor reference.
-// Val is only meaningful for nodes inserted through the map API (map.go);
-// it is read and replaced with sync/atomic so a Put racing with readers
-// on other processors stays well-defined even on recycled arena slots.
+// Val holds the packed vals ref of the node's value bytes (bytemap.go),
+// or 0 for an empty value and for every node of a set; no table keeps
+// anything else there. It is read and replaced with sync/atomic so a
+// PutB racing with readers on other processors stays well-defined even
+// on recycled arena slots.
 //
 // Vers is used only by versioned tables (vers.go): on an entry node it
 // heads the key's version chain; on a version cell it is nil and Key is
@@ -58,10 +60,10 @@ type listBase struct {
 	name  string
 	procs int
 
-	// vp, when non-nil, switches the table's map plane to byte values
-	// (DESIGN.md §13): Val words carry vals refs instead of raw uint64s,
-	// and the byte operations in bytemap.go become legal. Set once via
-	// HashTable.EnableByteValues before any Attach.
+	// vp is the table's value plane (DESIGN.md §13): the slab pool its
+	// Val words' vals refs point into. Set once via
+	// HashTable.EnableByteValues before any Attach; nil on set-only
+	// tables, which is why AttachMap and AttachCache refuse them.
 	vp *vals.Pool
 }
 
@@ -79,7 +81,7 @@ func newListBase(structure string, maxProcs int, snapshots bool) *listBase {
 		MaxProcs:      maxProcs,
 		EagerDestruct: !snapshots,
 		Finalizer: func(t *core.Thread[listNode], n *listNode) {
-			// Byte tables: the node's value slab dies with it. Eager free
+			// Valued tables: the node's value slab dies with it. Eager free
 			// is legal here — count zero means every reader's protecting
 			// node announcement is gone, and a ref still in Val was never
 			// displaced, so no value announcement can cover it either.
@@ -250,7 +252,8 @@ retry:
 	}
 }
 
-// tryLink allocates a key/val node and CASes it in at pos. It returns
+// tryLink allocates a node for key carrying val (a vals ref, or 0) and
+// CASes it in at pos. It returns
 // (true, nil) when the node was linked, (false, nil) when the CAS lost and
 // the caller should re-search, and (false, err) when the arena is
 // exhausted even after a flush-and-retry (the caller's backpressure
@@ -285,9 +288,9 @@ func (t *listThread) tryLink(pos *position, key, val uint64) (bool, error) {
 		return true, nil
 	}
 	// Lost the CAS: n was never published, so we own it exclusively. Strip
-	// Val before releasing — in byte mode it carries a vals ref the caller
-	// still owns (parked in the pid's inflight cell) and will relink on
-	// retry; the finalizer must not free it.
+	// Val before releasing — it carries a vals ref the caller still owns
+	// (parked in the pid's inflight cell) and will relink on retry; the
+	// finalizer must not free it.
 	atomic.StoreUint64(&th.Deref(n).Val, 0)
 	th.Release(n) // finalizer releases curOwned
 	return false, nil

@@ -1,65 +1,31 @@
 package rcds
 
 import (
-	"sync/atomic"
-
 	"cdrc/internal/core"
 	"cdrc/internal/ds"
 )
 
 // Map operations over the Harris-Michael bucket lists: the hash table
-// doubles as a key→value map by storing the value in the node's Val word
-// and replacing it in place with an atomic swap. A value replace on a node
-// that a concurrent Delete has just marked linearizes immediately before
-// that Delete (the Put began before the mark landed, so the ordering is
-// within both operations' windows); the lincheck tests exercise exactly
-// this interleaving.
-
-// get returns key's current value under head.
-func (t *listThread) get(head *core.AtomicRcPtr, key uint64) (uint64, bool) {
-	pos := t.search(head, key)
-	var v uint64
-	if pos.found {
-		v = atomic.LoadUint64(&t.deref(pos.curSnap, pos.curRc).Val)
-	}
-	found := pos.found
-	t.releasePos(&pos)
-	return v, found
-}
-
-// put maps key to val under head: in-place value replace when the key is
-// present (returning the previous value), insert otherwise. A non-nil
-// error is arena backpressure (the value was not stored); callers surface
-// it rather than dropping silently, because a service must distinguish
-// "replaced" from "rejected".
-func (t *listThread) put(head *core.AtomicRcPtr, key, val uint64) (old uint64, existed bool, err error) {
-	for {
-		pos := t.search(head, key)
-		if pos.found {
-			curN := t.deref(pos.curSnap, pos.curRc)
-			// A marked successor word means a delete already claimed this
-			// node; help the unlink along by re-searching and then insert
-			// a fresh node.
-			if curN.next.LoadRaw().HasMark(deletedMark) {
-				t.releasePos(&pos)
-				continue
-			}
-			old = atomic.SwapUint64(&curN.Val, val)
-			t.releasePos(&pos)
-			return old, true, nil
-		}
-		linked, err := t.tryLink(&pos, key, val)
-		t.releasePos(&pos)
-		if linked || err != nil {
-			return 0, false, err
-		}
-	}
-}
+// doubles as a key→value map by carrying a vals ref to the value's bytes
+// in the node's Val word (bytemap.go) and replacing it in place with an
+// atomic swap. A value replace on a node that a concurrent Delete has
+// just marked linearizes immediately before that Delete (the Put began
+// before the mark landed, so the ordering is within both operations'
+// windows); the lincheck tests exercise exactly this interleaving.
 
 // AttachMap registers the calling goroutine for map operations. The
 // returned thread shares the table's processor-id space with set handles;
-// a goroutine needs only one or the other.
-func (h *HashTable) AttachMap() ds.MapThread {
+// a goroutine needs only one or the other. Panics on a table without a
+// value plane (EnableByteValues).
+func (h *HashTable) AttachMap() ds.MapThread { return h.attachValued() }
+
+// attachValued is Attach for the map and cache APIs. Their values live
+// only in the byte plane, so a table without one is a setup bug and is
+// refused here rather than on every operation.
+func (h *HashTable) attachValued() *hashThread {
+	if h.base.vp == nil {
+		panic("rcds: map or cache attach on a table without a value plane (EnableByteValues)")
+	}
 	return h.Attach().(*hashThread)
 }
 
@@ -74,62 +40,6 @@ func (h *HashTable) EnableDebugChecks() {
 	if h.base.vp != nil {
 		h.base.vp.EnableDebugChecks()
 	}
-}
-
-// Get implements ds.MapThread.
-func (t *hashThread) Get(key uint64) (uint64, bool) {
-	if t.t.vsrc != nil {
-		return t.getV(key)
-	}
-	return t.get(t.t.bucket(key), key)
-}
-
-// Put implements ds.MapThread.
-func (t *hashThread) Put(key, val uint64) (uint64, bool, error) {
-	if t.t.vsrc != nil {
-		return t.putV(key, val)
-	}
-	return t.put(t.t.bucket(key), key, val)
-}
-
-// Scan implements ds.MapThread: a bucket-order walk under snapshot
-// protection, holding at most two snapshots at a time (within the 7-slot
-// discipline). Each bucket's chain is read at a consistent instant only
-// per link, so Scan is weakly consistent: it never observes a freed node
-// (snapshots pin them), but concurrent updates may or may not appear.
-func (t *hashThread) Scan(limit int, fn func(key, val uint64) bool) int {
-	if t.t.vsrc != nil {
-		return t.scanVersioned(limit, fn)
-	}
-	th := t.th
-	n := 0
-	for i := range t.t.buckets {
-		if limit >= 0 && n >= limit {
-			break
-		}
-		cur := th.GetSnapshot(&t.t.buckets[i])
-		for !cur.IsNil() {
-			// cur may carry the deletion mark copied from a deleted
-			// predecessor's next word; the handle still dereferences to
-			// the live successor (marks do not affect the slot index).
-			nd := th.DerefSnapshot(cur)
-			if !nd.next.LoadRaw().HasMark(deletedMark) {
-				if limit >= 0 && n >= limit {
-					break
-				}
-				if !fn(nd.Key, atomic.LoadUint64(&nd.Val)) {
-					th.ReleaseSnapshot(&cur)
-					return n
-				}
-				n++
-			}
-			next := th.GetSnapshot(&nd.next)
-			th.ReleaseSnapshot(&cur)
-			cur = next
-		}
-		th.ReleaseSnapshot(&cur)
-	}
-	return n
 }
 
 // Clear implements ds.MapThread: it unlinks every bucket chain (each

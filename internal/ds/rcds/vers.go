@@ -25,7 +25,9 @@ import (
 // the way — helping is what makes a write's position in version order
 // agreed on by everyone, which in turn is what makes a multi-key read at
 // one ts an atomic snapshot (a half-stamped write could otherwise be
-// visible under one key and invisible under another).
+// visible under one key and invisible under another). Every operation
+// that decides on the head cell (current reads, the existed of a put,
+// the already-absent of a delete) stamps it first, for the same reason.
 //
 // Retention is the lease contract (internal/snaplease): a version
 // superseded at or before MinActive() can never be observed by any
@@ -76,8 +78,9 @@ const (
 	maintainDepth = 8
 )
 
-// NewVersionedHashTable creates a hash map whose Put/Get/Delete/Scan run
-// multi-versioned against vs, adding GetAt/ScanAt point-in-time reads.
+// NewVersionedHashTable creates a hash map whose PutB/GetB/DeleteV/ScanB
+// run multi-versioned against vs, adding GetAtB/ScanAtB point-in-time
+// reads. Like any map it needs EnableByteValues before AttachMap.
 // Snapshot mode is forced on (version resolution traverses under
 // snapshot protection). The set API (Insert/Contains via Attach) must
 // not be used on a versioned table.
@@ -157,62 +160,6 @@ func (t *hashThread) maintainVers(e *listNode) {
 	th.ReleaseSnapshot(&cur)
 }
 
-// resolveHead returns e's newest live value: the head cell, unless the
-// chain is frozen or headed by a tombstone. This is the "current read"
-// used by versioned Get and Scan.
-func (t *hashThread) resolveHead(e *listNode) (uint64, bool) {
-	th := t.th
-	hs := th.GetSnapshot(&e.Vers)
-	var v uint64
-	ok := false
-	if !hs.IsNil() && !hs.HasMark(versDeadMark) {
-		hc := th.DerefSnapshot(hs)
-		if atomic.LoadUint64(&hc.Key)&versTombFlag == 0 {
-			v = atomic.LoadUint64(&hc.Val) // pending included: it is the newest write
-			ok = true
-		}
-	}
-	th.ReleaseSnapshot(&hs)
-	return v, ok
-}
-
-// resolveAt returns e's value as of ts: the first cell from the head
-// with a (help-)fixed stamp ≤ ts. Pending cells get stamped from the
-// live clock — necessarily > ts — and skipped; tombstones report absent.
-// Walking off the end means the key was born after ts.
-func (t *hashThread) resolveAt(e *listNode, ts uint64) (uint64, bool) {
-	th := t.th
-	cur := th.GetSnapshot(&e.Vers)
-	if cur.HasMark(versDeadMark) {
-		// Frozen chains are absent at every observable timestamp: the
-		// tombstone purge freezes only once the tombstone's stamp is ≤
-		// MinActive, and the allocation-free delete fallback freezes only
-		// with no lease active — either way no current or future lease's
-		// ts predates the logical delete.
-		th.ReleaseSnapshot(&cur)
-		return 0, false
-	}
-	for !cur.IsNil() {
-		cn := th.DerefSnapshot(cur)
-		w := t.stampWord(cn)
-		if w&versStampMask <= ts {
-			var v uint64
-			ok := false
-			if w&versTombFlag == 0 {
-				v = atomic.LoadUint64(&cn.Val)
-				ok = true
-			}
-			th.ReleaseSnapshot(&cur)
-			return v, ok
-		}
-		nxt := th.GetSnapshot(&cn.next)
-		th.ReleaseSnapshot(&cur)
-		cur = nxt
-	}
-	th.ReleaseSnapshot(&cur)
-	return 0, false
-}
-
 // helpFreeze finishes a frozen entry's logical delete: set the Harris
 // mark on its next word so every subsequent search unlinks it. The CAS
 // retries only over successor-unlink interference, as delete does.
@@ -268,13 +215,14 @@ func (t *hashThread) tryPurge(pos *position, e *listNode) {
 }
 
 // tryLinkV inserts a fresh entry for key carrying a single pending
-// version cell, then fixes the cell's stamp. Returns like tryLink:
-// (false, nil) asks the caller to re-search.
-func (t *hashThread) tryLinkV(pos *position, key, val uint64) (bool, error) {
+// version cell whose Val is the vals ref ref, then fixes the cell's
+// stamp. Returns like tryLink: (false, nil) asks the caller to
+// re-search.
+func (t *hashThread) tryLinkV(pos *position, key, ref uint64) (bool, error) {
 	th := t.th
 	cinit := func(nd *listNode) {
 		nd.Key = versPending
-		atomic.StoreUint64(&nd.Val, val)
+		atomic.StoreUint64(&nd.Val, ref)
 		nd.next.Init(core.NilRcPtr)
 		nd.Vers.Init(core.NilRcPtr)
 	}
@@ -304,8 +252,8 @@ func (t *hashThread) tryLinkV(pos *position, key, val uint64) (bool, error) {
 		if en, err = th.TryNewRc(einit); err != nil {
 			obsAllocDrop.Inc(th.ProcID())
 			th.Release(curOwned)
-			// Unpublished: strip the cell's Val so a byte-mode caller keeps
-			// its parked vals ref (see tryLink).
+			// Unpublished: strip the cell's Val so the caller keeps its
+			// parked vals ref (see tryLink).
 			atomic.StoreUint64(&th.Deref(cell).Val, 0)
 			th.Release(cell)
 			return false, err
@@ -326,77 +274,6 @@ func (t *hashThread) tryLinkV(pos *position, key, val uint64) (bool, error) {
 	}
 	th.ReleaseSnapshot(&hsEn)
 	return true, nil
-}
-
-// putV maps key to val by prepending a version cell (insert and replace
-// are the same write; a tombstone head reports existed == false). The
-// replaced value, like the plain path's, is the newest version at the
-// moment the new cell was published.
-func (t *hashThread) putV(key, val uint64) (old uint64, existed bool, err error) {
-	th := t.th
-	head := t.t.bucket(key)
-	for {
-		pos := t.search(head, key)
-		if !pos.found {
-			linked, err := t.tryLinkV(&pos, key, val)
-			t.releasePos(&pos)
-			if linked || err != nil {
-				return 0, false, err
-			}
-			continue
-		}
-		e := t.deref(pos.curSnap, pos.curRc)
-		if e.next.LoadRaw().HasMark(deletedMark) {
-			// Mid-unlink; the re-search helps finish it.
-			t.releasePos(&pos)
-			continue
-		}
-		hs := th.GetSnapshot(&e.Vers)
-		if hs.HasMark(versDeadMark) {
-			// Frozen: finish the purge, then insert fresh.
-			th.ReleaseSnapshot(&hs)
-			t.helpFreeze(e)
-			t.releasePos(&pos)
-			continue
-		}
-		var headVal uint64
-		headTomb := true
-		var headOwned core.RcPtr
-		if !hs.IsNil() {
-			hc := th.DerefSnapshot(hs)
-			headTomb = atomic.LoadUint64(&hc.Key)&versTombFlag != 0
-			headVal = atomic.LoadUint64(&hc.Val)
-			headOwned = th.RcFromSnapshot(hs)
-		}
-		init := func(nd *listNode) {
-			nd.Key = versPending
-			atomic.StoreUint64(&nd.Val, val)
-			nd.next.Init(headOwned)
-			nd.Vers.Init(core.NilRcPtr)
-		}
-		cell, aerr := th.TryNewRc(init)
-		if aerr != nil {
-			th.Flush()
-			if cell, aerr = th.TryNewRc(init); aerr != nil {
-				obsAllocDrop.Inc(th.ProcID())
-				th.Release(headOwned)
-				th.ReleaseSnapshot(&hs)
-				t.releasePos(&pos)
-				return 0, false, aerr
-			}
-		}
-		if !th.CompareAndSwapMove(&e.Vers, hs.Ptr(), cell) {
-			th.Release(cell) // finalizer releases headOwned
-			th.ReleaseSnapshot(&hs)
-			t.releasePos(&pos)
-			continue
-		}
-		th.ReleaseSnapshot(&hs)
-		t.stampCellIn(e, cell)
-		t.maintainVers(e)
-		t.releasePos(&pos)
-		return headVal, !headTomb, nil
-	}
 }
 
 // delV removes key by appending a tombstone cell (so leases older than
@@ -428,7 +305,10 @@ func (t *hashThread) delV(key uint64) (bool, error) {
 			t.releasePos(&pos)
 			return false, nil
 		}
-		if atomic.LoadUint64(&th.DerefSnapshot(hs).Key)&versTombFlag != 0 {
+		// The head decides the outcome, so stamp it first (see
+		// resolveHeadB): a pending tombstone observed here is a delete
+		// this one linearizes after.
+		if t.stampWord(th.DerefSnapshot(hs))&versTombFlag != 0 {
 			// Already absent; opportunistically finish its removal.
 			th.ReleaseSnapshot(&hs)
 			t.tryPurge(&pos, e)
@@ -489,111 +369,6 @@ func (t *hashThread) delV(key uint64) (bool, error) {
 		t.releasePos(&pos)
 		return true, nil
 	}
-}
-
-// getV is the versioned current-value read.
-func (t *hashThread) getV(key uint64) (uint64, bool) {
-	pos := t.search(t.t.bucket(key), key)
-	if !pos.found {
-		t.releasePos(&pos)
-		return 0, false
-	}
-	v, ok := t.resolveHead(t.deref(pos.curSnap, pos.curRc))
-	t.releasePos(&pos)
-	return v, ok
-}
-
-// getAt reads key as of ts. A key whose entry was purged reports absent,
-// which is consistent: purging requires the tombstone's stamp ≤
-// MinActive ≤ every live lease's ts.
-func (t *hashThread) getAt(ts, key uint64) (uint64, bool) {
-	pos := t.search(t.t.bucket(key), key)
-	if !pos.found {
-		t.releasePos(&pos)
-		return 0, false
-	}
-	e := t.deref(pos.curSnap, pos.curRc)
-	v, ok := t.resolveAt(e, ts)
-	t.releasePos(&pos)
-	return v, ok
-}
-
-// scanVersioned is the weakly-consistent scan over a versioned table
-// (each entry resolved to its newest live version).
-func (t *hashThread) scanVersioned(limit int, fn func(key, val uint64) bool) int {
-	th := t.th
-	n := 0
-	for i := range t.t.buckets {
-		if limit >= 0 && n >= limit {
-			break
-		}
-		cur := th.GetSnapshot(&t.t.buckets[i])
-		for !cur.IsNil() {
-			nd := th.DerefSnapshot(cur)
-			if !nd.next.LoadRaw().HasMark(deletedMark) {
-				if limit >= 0 && n >= limit {
-					break
-				}
-				if v, ok := t.resolveHead(nd); ok {
-					if !fn(nd.Key, v) {
-						th.ReleaseSnapshot(&cur)
-						return n
-					}
-					n++
-				}
-			}
-			next := th.GetSnapshot(&nd.next)
-			th.ReleaseSnapshot(&cur)
-			cur = next
-		}
-		th.ReleaseSnapshot(&cur)
-	}
-	return n
-}
-
-// ScanAt visits up to limit entries as of ts (limit < 0 for all),
-// stopping early when fn returns false. Unlike Scan, the rows form one
-// point-in-time snapshot across every key: all writes stamped ≤ ts, none
-// stamped later. Entries skipped for a Harris mark are safe to skip —
-// versioned tables mark an entry only after freezing it on a tombstone
-// no live lease can see past. Implements ds.VersionedMapThread.
-func (t *hashThread) ScanAt(ts uint64, limit int, fn func(key, val uint64) bool) int {
-	th := t.th
-	n := 0
-	for i := range t.t.buckets {
-		if limit >= 0 && n >= limit {
-			break
-		}
-		cur := th.GetSnapshot(&t.t.buckets[i])
-		for !cur.IsNil() {
-			nd := th.DerefSnapshot(cur)
-			if !nd.next.LoadRaw().HasMark(deletedMark) {
-				if limit >= 0 && n >= limit {
-					break
-				}
-				if v, ok := t.resolveAt(nd, ts); ok {
-					if !fn(nd.Key, v) {
-						th.ReleaseSnapshot(&cur)
-						return n
-					}
-					n++
-				}
-			}
-			next := th.GetSnapshot(&nd.next)
-			th.ReleaseSnapshot(&cur)
-			cur = next
-		}
-		th.ReleaseSnapshot(&cur)
-	}
-	return n
-}
-
-// GetAt reads key as of ts. Implements ds.VersionedMapThread.
-func (t *hashThread) GetAt(ts, key uint64) (uint64, bool) {
-	if t.t.vsrc == nil {
-		panic("rcds: GetAt on an unversioned table")
-	}
-	return t.getAt(ts, key)
 }
 
 // DeleteV is Delete with the arena-backpressure error surfaced (a

@@ -12,6 +12,12 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# benchmark/ is its own module (cdrc => ../), so the root ./... never
+# compiles it: a rename in ds or rcds that the benchmark ladder calls
+# would otherwise break the benchmark with every other check green.
+echo "==> benchmark module (vet + tests against this checkout)"
+go -C benchmark vet ./... && go -C benchmark test ./...
+
 # Biased-count encapsulation lint: under the split count (DESIGN.md §12)
 # the shared word alone is NOT the reference count — the owner word may
 # hold more units — so only internal/core may read or write it through
@@ -67,6 +73,15 @@ echo "==> zero-GC value plane gate (alloc pins + GC pressure vs Go-heap control)
 go test -count 1 -run 'LargeValueSweepZeroAlloc|ValueGCPressureVsControl' ./collections
 go test -count 1 -run 'AllocFreeMagazineHitZeroAlloc|CounterIncZeroAlloc|AllocsPerRunSteadyState|ByteMapAllocsSteadyState|ServerGetZeroAlloc' \
     ./internal/arena ./internal/obs ./internal/vals ./internal/ds/rcds ./internal/server
+
+# Versioned lincheck pass (DESIGN.md §10): recorded histories of the
+# versioned map, MGET leases included, checked against the sequential
+# model. Operations that decide on a pending head version must stamp it
+# first; before they did, about 1 run in 300 failed, so one pass of the
+# ./... sweep rarely caught it. Already in the sweep; repeated here to
+# keep the regression named and re-runnable.
+echo "==> versioned lincheck pass (count 50)"
+go test -count 50 -run TestVersionedMapLinearizable ./collections/
 
 # Biased reclamation regression pass (DESIGN.md §12, eject accounting):
 # merge retires must be paid by ejects so deferred work and dead values
