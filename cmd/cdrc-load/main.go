@@ -13,7 +13,7 @@
 // in in-process mode, full reclamation at Close (Live() == 0). Any
 // violation exits non-zero, which is how scripts/check.sh uses it as a
 // loopback soak - once plain and once with -chaos -crash-workers, where
-// simulated worker crashes exercise the abandonment/adoption path under
+// simulated shard-handle crashes exercise the abandonment/adoption path under
 // live traffic.
 //
 // With -addr it targets an already-running cdrc-serve instead (the
@@ -103,13 +103,13 @@ func main() {
 		jsonOut  = flag.String("json-out", "", "write a machine-readable run summary (throughput + latency quantiles) to this file")
 
 		shards   = flag.Int("shards", 4, "in-process server: shards")
-		workers  = flag.Int("workers", 4, "in-process server: worker pool size")
+		workers  = flag.Int("workers", 4, "in-process server: shard handle pool size (attached threads, i.e. pids, split across shards)")
 		arenaCap = flag.Uint64("arena-cap", 0, "in-process server: per-shard arena slot cap")
-		queue    = flag.Int("queue", 0, "in-process server: request queue depth (0 = default)")
+		queue    = flag.Int("queue", 0, "in-process server: per-shard admission bound in requests (0 = default)")
 
 		chaosOn   = flag.Bool("chaos", false, "in-process server: enable deterministic fault injection")
 		chaosSeed = flag.Uint64("chaos-seed", 1, "chaos seed")
-		crashWk   = flag.Int("crash-workers", 0, "chaos crash budget (simulated worker crashes)")
+		crashWk   = flag.Int("crash-workers", 0, "chaos crash budget (simulated shard-handle crashes)")
 
 		cluster   = flag.Int("cluster", 0, "run an N-node in-process replicated cluster (0 = single server)")
 		killNodes = flag.Int("kill-nodes", 0, "chaos kill budget (whole fail-stop nodes; needs -chaos and -cluster)")
@@ -185,7 +185,7 @@ func main() {
 				Seed:        *chaosSeed,
 				CrashBudget: *crashWk,
 				Faults: map[string]chaos.Fault{
-					// Crash-safe points only: the worker op boundary (zero
+					// Crash-safe points only: the handle op boundary (zero
 					// refs held) and snapshot acquisition (map ops hold no
 					// counted references across GetSnapshot).
 					"server.worker.op":       {Prob: 0.0005, Crash: true},
@@ -484,9 +484,9 @@ func main() {
 		fail("no operations completed; soak proved nothing")
 	}
 	if inproc {
-		// Server-side conservation: every send was either executed by a
-		// worker (server.reply covers completions and crash-BUSYs) or shed
-		// at the queue; and the BUSYs the clients saw partition by cause.
+		// Server-side conservation: every send was either run on a shard
+		// handle (server.reply covers completions and crash-BUSYs) or shed
+		// at admission; and the BUSYs the clients saw partition by cause.
 		replies := r.Counter("server.reply") + r.Counter("server.busy.queue") + r.Counter("server.busy.lease")
 		if total.sends != replies {
 			fail("server conservation broken: sends=%d != server.reply+busy.queue+busy.lease=%d", total.sends, replies)

@@ -1,7 +1,7 @@
 // cdrc-serve runs the internal/server key→value store as a standalone
 // process: a sharded collections.Map behind the line protocol described
-// in internal/server/proto.go, with the worker pool sized against the
-// pid registries and explicit -BUSY backpressure.
+// in internal/server/proto.go, with the shard handle pool sized against
+// the pid registries and explicit -BUSY backpressure.
 //
 // Talk to it with cmd/cdrc-load, or by hand:
 //
@@ -45,12 +45,11 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "TCP listen address")
 		shards   = flag.Int("shards", 4, "map shards (rounded up to a power of two)")
-		workers  = flag.Int("workers", 8, "worker pool size (threads attached to the store)")
+		workers  = flag.Int("workers", 8, "shard handle pool size: threads attached to the store, i.e. pids, split across shards")
 		keys     = flag.Int("keys", 1<<16, "expected resident keys across all shards")
 		arenaCap = flag.Uint64("arena-cap", 0, "per-shard arena slot cap (0 = unbounded; beyond it PUT replies -BUSY)")
-		queue    = flag.Int("queue", 0, "per-shard request queue depth (0 = default)")
+		queue    = flag.Int("queue", 0, "per-shard admission bound in requests (0 = default)")
 		pipe     = flag.Int("max-pipeline", 0, "per-connection pipeline window (0 = default 64)")
-		flush    = flag.Int("flush-batch", 0, "max replies coalesced per flush (0 = pipeline window)")
 		debug    = flag.Bool("debug-checks", false, "arm arena use-after-free panics")
 		obsOn    = flag.Bool("obs", false, "enable observability (STATS returns live metrics)")
 		peers    = flag.String("peers", "", "comma-separated node addresses in node-id order (enables replicated cluster mode)")
@@ -76,7 +75,6 @@ func main() {
 		ArenaCapacity:      *arenaCap,
 		QueueDepth:         *queue,
 		MaxPipeline:        *pipe,
-		FlushBatch:         *flush,
 		DebugChecks:        *debug,
 		Peers:              peerList,
 		NodeID:             *nodeID,

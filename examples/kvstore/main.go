@@ -6,8 +6,8 @@
 // in-place atomic value replace), so the example shrank to what it should
 // teach: attach a handle per goroutine, use it, close it, and reclamation
 // is automatic. For the full service built on the same engine - sharding,
-// a TCP wire protocol, a bounded worker pool with crash recovery, and
-// -BUSY backpressure - see internal/server and its cmd/cdrc-serve and
+// a TCP wire protocol, a fixed pool of shard handles with crash recovery,
+// and -BUSY backpressure - see internal/server and its cmd/cdrc-serve and
 // cmd/cdrc-load front ends.
 package main
 

@@ -8,14 +8,14 @@ import (
 	"cdrc/collections"
 )
 
-// Cache mode (DESIGN.md §11): the worker pool and connection front end
+// Cache mode (DESIGN.md §11): the handle pool and connection front end
 // are shared with map mode; only the shard handle and the request
-// executor differ (cacheExec in server.go). Worker–shard affinity, the
-// crash/abandon/respawn protocol, and the completion accounting are the
-// one worker loop's.
+// executor differ (cacheExec in server.go). Handle–shard affinity, the
+// crash/abandon/replace protocol, and the completion accounting are the
+// one execution loop's.
 
 // execCache runs one request (or, for SCAN, this shard's share of one)
-// against the worker's cache shard. PUT and SETEX absorb arena
+// against a borrowed handle of the cache shard. PUT and SETEX absorb arena
 // backpressure inside SetEx (synchronous eviction with bounded retries);
 // only a dry eviction index lets the arena error through, and then as
 // -ERR — never -BUSY — so load harnesses can gate on busy.arena == 0 in

@@ -12,8 +12,8 @@ import (
 )
 
 // ErrBusy is the client-side rendering of a -BUSY reply: the server shed
-// the request (queue full, arena exhausted, replication log full, or the
-// serving worker simulated a crash mid-request). The request had no
+// the request (shard admission full, arena exhausted, replication log
+// full, or the serving handle simulated a crash mid-request). The request had no
 // effect and may be retried.
 var ErrBusy = errors.New("server: busy")
 
@@ -262,7 +262,7 @@ func (cl *Client) SnapScan(limit int) ([]Entry, error) {
 // MGet reads up to 8 keys atomically from one point-in-time snapshot
 // and returns one Result per key in request order (Found reports
 // presence, Bytes the value). ErrBusy means the server shed the request
-// (lease pool or queues exhausted); it had no effect.
+// (lease pool or shard admission exhausted); it had no effect.
 func (cl *Client) MGet(keys ...uint64) ([]Result, error) {
 	if len(keys) == 0 || len(keys) > maxMGetKeys {
 		return nil, fmt.Errorf("client: MGET takes 1..%d keys, got %d", maxMGetKeys, len(keys))

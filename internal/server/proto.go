@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 
 	"cdrc/internal/snaplease"
 )
@@ -54,7 +53,7 @@ import (
 // does not touch the clock bit) and SCAN visits live entries only, but
 // the versioned verbs MGET and SNAPSCAN answer -ERR: cache shards trade
 // multi-versioning for TTL words. PUT and SETEX never answer -BUSY for
-// an exhausted arena — the serving worker synchronously evicts and
+// an exhausted arena — the serving handle synchronously evicts and
 // retries instead (backpressure-driven eviction); only a fully dry
 // eviction index surfaces the arena error as -ERR. Outside cache mode
 // the four cache verbs answer -ERR.
@@ -75,8 +74,8 @@ import (
 //	           seq; the apply is idempotent per (shard, seq))
 //	+PROMOTED <shard> <seq>  promotion done; seq is the last applied
 //	           replication seq for the shard (0 = log was empty)
-//	-BUSY      request shed: worker queue full, arena exhausted, the
-//	           serving worker crashed mid-request, or the shard's
+//	-BUSY      request shed: shard admission full, arena exhausted, the
+//	           serving handle crashed mid-request, or the shard's
 //	           replication log is full (ack would not be durable);
 //	           no effect, retryable. An out-of-order RPUT/RDEL (a gap in
 //	           the seq stream) is also -BUSY: the shipper rewinds to the
@@ -95,7 +94,7 @@ import (
 // connection then resynchronizes at the next newline instead of
 // dropping.
 
-// opcodes for worker-executed requests.
+// opcodes for requests run on a shard handle.
 const (
 	opGet = iota
 	opPut
@@ -111,26 +110,27 @@ const (
 )
 
 // Completion causes. A slot completes with exactly one cause; the first
-// failure to land wins (slot.fail is CAS-once), so a SCAN that is both
-// partially shed at a queue and hit by a worker crash still counts one
-// shed, under one cause, for one -BUSY reply.
+// failure to land wins (slot.fail), so a SCAN that is both partially
+// shed at admission and hit by a handle crash still counts one shed,
+// under one cause, for one -BUSY reply.
 const (
 	causeNone  uint32 = iota
-	causeQueue        // shed at a full shard queue (never reached a worker)
+	causeQueue        // shed at a full shard admission bound (never ran)
 	causeArena        // arena exhausted mid-execution (PUT backpressure)
-	causeCrash        // serving worker took a simulated crash
+	causeCrash        // serving handle took a simulated crash
 	causeRepl         // replication backpressure: log full (primary) or
 	// seq gap (replica); either way nothing was applied
-	causeLease // snapshot-lease pool exhausted (never reached a worker)
+	causeLease // snapshot-lease pool exhausted (never ran)
 )
 
 // slot is one in-flight request in a connection's completion ring. Slots
 // are allocated once per connection (MaxPipeline of them) and recycled
 // through the free list, so the steady-state hot path performs zero heap
-// allocations per request. Single-shard ops are owned by exactly one
-// worker; SCAN is fanned out to every shard and each worker writes only
-// its own segs/ns index, so no field is written concurrently except the
-// atomics.
+// allocations per request. The connection's reader fills, runs and
+// completes a slot - SCAN fans out to every shard's share, each writing
+// only its own segs/ns index - and the writer only reads the rendered
+// reply after the slot's window was issued, so no field is shared
+// between goroutines at once.
 type slot struct {
 	op    int
 	key   uint64
@@ -138,9 +138,9 @@ type slot struct {
 
 	// val holds the request's value bytes (PUT/SETEX/RPUT), copied off
 	// the connection's parse buffer by the reader — the parse buffer is
-	// recycled per line, while the op may sit in a shard queue. vtmp is
-	// worker-side scratch for reading displaced or fetched values before
-	// rendering. Both are per-slot and reused, so the steady-state data
+	// recycled per line, while the op runs only when its window flushes.
+	// vtmp is execution scratch for reading displaced or fetched values
+	// before rendering. Both are per-slot and reused, so the steady-state data
 	// path allocates nothing once warm.
 	val  []byte
 	vtmp []byte
@@ -153,7 +153,7 @@ type slot struct {
 
 	// local marks reader-completed replies (PING, STATS, parse errors,
 	// oversize lines): they bypass the server.req/server.reply accounting,
-	// which counts worker-bound requests only.
+	// which counts handle-bound requests only.
 	local bool
 
 	// static, when non-nil, is a shared immutable reply line; otherwise
@@ -165,8 +165,8 @@ type slot struct {
 	// created on a slot's first SCAN and reused afterwards.
 	scan *scanState
 
-	// MGET state: keys holds the requested keys (request order); worker i
-	// fills mvals/mhits for the keys its shard owns. ts and lease carry
+	// MGET state: keys holds the requested keys (request order); shard
+	// i's share fills mvals/mhits for the keys it owns. ts and lease carry
 	// the snapshot lease for MGET/SNAPSCAN — complete releases the lease
 	// exactly once, whatever the outcome (reply, shed, or crash). In
 	// cache mode, where leases are never drawn, ts instead carries the
@@ -177,13 +177,8 @@ type slot struct {
 	ts    uint64
 	lease snaplease.Lease
 
-	// pending counts outstanding completions (1 for single-shard ops,
-	// one per shard for SCAN); the decrement that reaches zero finishes
-	// the slot. cause is the CAS-once failure cause. win is the window
-	// the slot was issued in; finishing the slot finishes one unit of it.
-	pending atomic.Int32
-	cause   atomic.Uint32
-	win     *window
+	// cause is the first failure cause to land (causeNone on success).
+	cause uint32
 }
 
 // scanState carries SCAN fan-out results: segs[i] holds shard i's
@@ -197,7 +192,7 @@ func (sl *slot) reset() {
 	sl.local = false
 	sl.static = nil
 	sl.buf = sl.buf[:0]
-	sl.cause.Store(causeNone)
+	sl.cause = causeNone
 }
 
 func (sl *slot) ensureScan(shards int) {
@@ -215,7 +210,7 @@ func (sl *slot) ensureScan(shards int) {
 }
 
 // ensureMGet sizes the multi-key result arrays and clears the hit flags
-// (workers only write the indexes their shard owns). Each mvals element
+// (each shard's share writes only the indexes its shard owns). Each mvals element
 // keeps its byte capacity across requests — per-index scratch.
 func (sl *slot) ensureMGet(n int) {
 	if cap(sl.mvals) < n {
@@ -234,23 +229,19 @@ func (sl *slot) ensureMGet(n int) {
 
 // fail records a completion cause; the first one wins.
 func (sl *slot) fail(cause uint32) {
-	sl.cause.CompareAndSwap(causeNone, cause)
+	if sl.cause == causeNone {
+		sl.cause = cause
+	}
 }
 
-// complete retires one pending unit; the last unit finishes the slot:
-// accounting, busy rendering, SCAN assembly, and one unit of the slot's
-// window (the window's last unit wakes the connection writer). procID
-// shards the obs counters (workers pass their pool id, the connection
-// goroutines 0).
+// complete finishes the slot once its window has run: accounting, busy
+// rendering, and SCAN/MGET assembly. procID shards the obs counters.
 func (sl *slot) complete(procID int) {
-	if sl.pending.Add(-1) != 0 {
-		return
-	}
-	// The snapshot lease ends with the slot, success or shed: the last
-	// completion is the single point every outcome (worker finish, queue
-	// shed, crash adoption) funnels through. Idempotent and nil-safe.
+	// The snapshot lease ends with the slot, success or shed: completion
+	// is the single point every outcome (reply, shed, crash) funnels
+	// through. Idempotent and nil-safe.
 	sl.lease.Release(procID)
-	switch sl.cause.Load() {
+	switch sl.cause {
 	case causeNone:
 		if !sl.local {
 			obsReq.Inc(procID)
@@ -265,12 +256,12 @@ func (sl *slot) complete(procID int) {
 			sl.static = nil
 		}
 	case causeQueue:
-		// Shed before any worker executed it: counts as a queue shed,
-		// not a reply, preserving sends == server.reply + busy.queue.
+		// Shed before it ran: counts as a queue shed, not a reply,
+		// preserving sends == server.reply + busy.queue.
 		obsBusyQueue.Inc(procID)
 		sl.static = lineBusy
 	case causeLease:
-		// Shed at the lease pool, also before any worker ran.
+		// Shed at the lease pool, also before it ran.
 		obsBusyLease.Inc(procID)
 		sl.static = lineBusy
 	case causeArena:
@@ -288,11 +279,10 @@ func (sl *slot) complete(procID int) {
 		obsBusyCrash.Inc(procID)
 		sl.static = lineBusy
 	}
-	sl.win.finish()
 }
 
 // payload returns the rendered reply. Only the connection writer calls
-// it, after the slot's window is done.
+// it, after the slot's window was issued.
 func (sl *slot) payload() []byte {
 	if sl.static != nil {
 		return sl.static
@@ -303,8 +293,8 @@ func (sl *slot) payload() []byte {
 // rowSpan returns the byte length of the row starting at off in seg: a
 // "<key> <len>\n" header followed by len body bytes and one LF. Value
 // bytes are binary, so rows cannot be delimited by counting newlines —
-// the header's length field is the frame. Workers render the segments
-// themselves, but the walk still bounds every step so a malformed
+// the header's length field is the frame. The server renders the
+// segments itself, but the walk still bounds every step so a malformed
 // segment truncates instead of panicking.
 func rowSpan(seg []byte, off int) int {
 	i := off

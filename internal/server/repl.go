@@ -29,7 +29,7 @@ import (
 // replica and reads +RACK replies. The replica applies strictly in seq
 // order under a per-shard mutex - duplicates (seq <= applied) ack
 // idempotently without re-applying, gaps (seq > applied+1, possible
-// when a replica-side worker crash BUSYs an apply out from under a
+// when a replica-side handle crash BUSYs an apply out from under a
 // pipelined window) reply -BUSY and make the shipper rewind to the last
 // acked seq. Entries are retained until acked, so a rewind or a
 // reconnect can always re-ship; the log capacity therefore bounds the
@@ -456,9 +456,9 @@ func (ri *replIn) dropSrc(c net.Conn) {
 
 // execReplApply applies one RPUT/RDEL on a replica shard: in-order
 // applies advance the cursor, duplicates ack without re-applying, gaps
-// shed with -BUSY for the shipper to rewind. Runs on a worker holding
-// the shard's MapHandle; the mutex both orders concurrent workers of
-// one shard and publishes applied/received to the promotion waiter.
+// shed with -BUSY for the shipper to rewind. Runs on a borrowed handle of
+// the shard; the mutex both orders concurrent stream connections of one
+// shard and publishes applied/received to the promotion waiter.
 func (s *Server) execReplApply(h *collections.MapHandle, sl *slot, procID int) {
 	ri := s.replIns[sl.shard]
 	ri.mu.Lock()
@@ -494,8 +494,8 @@ func (s *Server) execReplApply(h *collections.MapHandle, sl *slot, procID int) {
 // (source connection gone AND every received entry applied), the
 // promote timeout passes, or the server starts shutting down. It
 // returns the last applied seq and whether the drain completed cleanly.
-// Runs on a connection goroutine, never on a worker: applies must keep
-// flowing through the worker pool while we wait.
+// Runs on a connection goroutine holding no handle: applies must keep
+// flowing through the shard's handle pool while we wait.
 func (s *Server) promoteWait(shard int) (applied uint64, clean bool) {
 	ri := s.replIns[shard]
 	deadline := time.Now().Add(s.cfg.PromoteTimeout)

@@ -2,28 +2,22 @@
 // the cdrc collections: the storage engine is collections.Map (Michael
 // hash table over deferred reference counting), the front end is a
 // pipelined line-oriented text protocol over stdlib net TCP (see
-// proto.go), and the execution model is a bounded worker pool with
-// worker–shard affinity.
+// proto.go), and each connection runs its own requests on shard handles
+// it borrows from a fixed per-shard pool.
 //
 // The shape is deliberate (DESIGN.md §7): connection goroutines are
-// unbounded and cheap because they never touch a cdrc domain — they
-// parse, route to a shard queue, and hand completed replies to a
-// per-connection writer. Only the W pool workers attach Threads, each to
-// exactly one shard, so the pid registries are sized to the pool instead
-// of the connection count and the paper's O(P²) deferred-work bound
-// stays small and independent of client fan-in. Backpressure is
-// explicit: a full shard queue or an exhausted arena sheds the request
-// with a -BUSY reply instead of blocking or panicking, and a worker that
-// dies mid-request (simulated via chaos.CrashSignal) BUSYs the in-flight
-// request, abandons its shard's per-processor state for survivors to
-// adopt (the PR-1 abandonment path), and is respawned with fresh ids.
-//
-// The hot path is allocation-free: requests are parsed from the raw line
-// bytes into per-connection ring slots, handed to the shard workers and
-// back to the writer one window (the run of requests already buffered)
-// at a time, workers render replies into per-slot scratch buffers, and
-// the writer coalesces completed windows into one buffered write,
-// flushing only when no further window is issued or a batch cap hits.
+// unbounded and cheap because they never attach to a cdrc domain - they
+// parse a window of requests (the run already buffered), run each
+// shard's share on a handle borrowed from that shard, and hand the
+// finished window to a per-connection writer. Only the W pool handles
+// are attached Threads, so the pid registries are sized to the pool
+// instead of the connection count and the paper's O(P²) deferred-work
+// bound stays independent of client fan-in. Requests past a shard's
+// admission bound, or an exhausted arena, shed with -BUSY instead of
+// blocking; a handle that dies mid-request (chaos.CrashSignal) BUSYs
+// that request, is abandoned for survivors to adopt, and is replaced by
+// a fresh attachment (a fresh pid). The hot path allocates nothing once
+// a connection's ring slots and windows are warm.
 package server
 
 import (
@@ -45,17 +39,18 @@ import (
 	"cdrc/internal/vals"
 )
 
-// Observability. server.req counts worker-executed requests; server.reply
-// counts worker-bound requests that completed with a reply (completions
-// plus crash/arena BUSYs); the busy counters partition every shed by
-// cause. At quiescence: client sends == server.reply + server.busy.queue
-// + server.busy.lease, and client-observed BUSYs == busy.queue +
-// busy.arena + busy.crash + busy.lease (queue and lease sheds never
-// reach a worker, so they count no req/reply). server.conns/server.disconn count connection
-// accept/teardown; their difference is the live-connection gauge and
-// must be 0 after Close. server.queue.depth samples a shard's queued
-// requests after each batch admission; server.flush.batch records how
-// many replies each writer Flush coalesced.
+// Observability. server.req counts requests run on a shard handle;
+// server.reply counts handle-bound requests that completed with a reply
+// (completions plus crash/arena BUSYs); the busy counters partition every
+// shed by cause. At quiescence: client sends == server.reply +
+// server.busy.queue + server.busy.lease, and client-observed BUSYs ==
+// busy.queue + busy.arena + busy.crash + busy.lease (queue and lease
+// sheds never reach a handle, so they count no req/reply).
+// server.conns/server.disconn count connection accept/teardown; their
+// difference is the live-connection gauge and must be 0 after Close.
+// server.queue.depth samples a shard's admitted requests after each
+// batch admission; server.flush.batch records how many replies each
+// writer Flush coalesced. "worker" in server.worker.* names a handle.
 var (
 	obsReq        = obs.NewCounter("server.req")
 	obsReply      = obs.NewCounter("server.reply")
@@ -70,9 +65,9 @@ var (
 	obsFlushBatch = obs.NewHistogram("server.flush.batch")
 )
 
-// chaosWorkerOp fires once per dequeued request, before execution - a
-// crash-safe point (the worker holds zero counted references between
-// requests), documented in DESIGN.md's fault model.
+// chaosWorkerOp fires once per request run on a shard handle, before
+// execution - a crash-safe point (the handle holds zero counted
+// references between requests), documented in DESIGN.md's fault model.
 var chaosWorkerOp = chaos.New("server.worker.op")
 
 // maxLine bounds one request line; longer lines are consumed and
@@ -86,20 +81,21 @@ type Config struct {
 	Addr string
 
 	// Shards is the number of independent collections.Map shards; rounded
-	// up to a power of two (default 4). Each shard has its own bounded
-	// request queue and its own slice of the worker pool.
+	// up to a power of two (default 4). Each shard has its own admission
+	// bound and its own slice of the handle pool.
 	Shards int
 
-	// Workers is the pool size - the number of goroutines that attach
-	// cdrc Threads (default 8). Worker i serves shard i mod Shards, so
-	// Workers is raised to Shards if below it (every shard needs at
-	// least one server).
+	// Workers is the handle pool size - the number of attached cdrc
+	// Threads, that is pids, across all shards (default 8). Handle i
+	// belongs to shard i mod Shards, so Workers is raised to Shards if
+	// below it (every shard needs at least one handle). It bounds how many
+	// connections run on one shard at once, not how many may connect.
 	Workers int
 
 	// MaxProcs bounds each shard's pid registry. It must leave headroom
-	// above the shard's workers for crash respawns, because an abandoned
-	// id stays out of circulation until a survivor adopts it (default
-	// Workers+16).
+	// above the shard's handles for crash replacements, because an
+	// abandoned id stays out of circulation until a survivor adopts it
+	// (default Workers+16).
 	MaxProcs int
 
 	// ExpectedKeys sizes the table across all shards (default 1<<16).
@@ -114,12 +110,13 @@ type Config struct {
 	// consumed and answered with -ERR.
 	MaxValLen int
 
-	// QueueDepth bounds each shard's request queue, in requests (default
-	// 4 * the shard's worker count, with a floor of one MaxPipeline
-	// window so a single pipelining client does not trip backpressure).
-	// Requests travel in per-window batches, but a batch is admitted only
-	// as far as it fits: the requests beyond the bound shed with -BUSY,
-	// each at its own position, rather than blocking the connection.
+	// QueueDepth bounds each shard's admitted requests - those waiting
+	// for or running on one of its handles (default 4 * the shard's
+	// handle count, with a floor of one MaxPipeline window so a single
+	// pipelining client does not trip backpressure). Requests are run in
+	// per-window batches, but a batch is admitted only as far as it fits:
+	// the requests beyond the bound shed with -BUSY, each at its own
+	// position, so the wait for a handle stays bounded.
 	QueueDepth int
 
 	// MaxPipeline is the per-connection pipeline depth: how many
@@ -127,11 +124,6 @@ type Config struct {
 	// connection (default 64). The pipeline is a fixed ring of reply
 	// slots, so it also bounds per-connection memory.
 	MaxPipeline int
-
-	// FlushBatch caps how many replies the connection writer coalesces
-	// into its buffered writer before forcing a Flush (default
-	// MaxPipeline). Lower values trade throughput for per-reply latency.
-	FlushBatch int
 
 	// ScanLimit caps entries returned by one SCAN (default 4096).
 	ScanLimit int
@@ -248,9 +240,6 @@ func (c *Config) withDefaults() Config {
 			cfg.QueueDepth = cfg.MaxPipeline
 		}
 	}
-	if cfg.FlushBatch <= 0 || cfg.FlushBatch > cfg.MaxPipeline {
-		cfg.FlushBatch = cfg.MaxPipeline
-	}
 	if cfg.ScanLimit <= 0 {
 		cfg.ScanLimit = 4096
 	}
@@ -306,14 +295,14 @@ type Server struct {
 
 	acceptDone chan struct{}
 	connWg     sync.WaitGroup
-	workerWg   sync.WaitGroup
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// New builds the shards, binds the listener, and starts the worker pool
-// and acceptor (plus, in cluster mode, the per-primary-shard shippers).
+// New builds the shards, attaches the handle pool, binds the listener,
+// and starts the acceptor (plus, in cluster mode, the
+// per-primary-shard shippers).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Peers) > 0 && (cfg.NodeID < 0 || cfg.NodeID >= len(cfg.Peers)) {
@@ -374,7 +363,10 @@ func New(cfg Config) (*Server, error) {
 			s.shards[i] = m
 		}
 		q := &s.queues[i]
-		q.ch, q.depth = make(chan []*slot, cfg.QueueDepth), int64(cfg.QueueDepth)
+		// Handle j serves shard j mod Shards: this shard gets the
+		// ceil((Workers-i)/Shards) of them attached below.
+		q.handles = make(chan shardExec, (cfg.Workers-i+cfg.Shards-1)/cfg.Shards)
+		q.depth = int64(cfg.QueueDepth)
 		obs.RegisterGauge(s.gaugeName(fmt.Sprintf("queue.%d", i)), func() (int64, bool) {
 			if s.closed.Load() {
 				return 0, false
@@ -433,8 +425,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		s.workerWg.Add(1)
-		go s.runWorker(i, i%cfg.Shards)
+		s.queues[i%cfg.Shards].handles <- s.attach(i % cfg.Shards)
 	}
 	go s.acceptLoop()
 	return s, nil
@@ -515,7 +506,7 @@ func (s *Server) isClosing() bool {
 
 func (s *Server) acceptLoop() {
 	defer close(s.acceptDone)
-	for {
+	for id := 1; ; id++ {
 		c, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed by Close
@@ -530,7 +521,7 @@ func (s *Server) acceptLoop() {
 		s.connWg.Add(1)
 		s.mu.Unlock()
 		obsConns.Inc(0)
-		go s.serveConn(c)
+		go s.serveConn(c, id)
 	}
 }
 
@@ -569,13 +560,10 @@ func readLine(br *bufio.Reader) ([]byte, error) {
 
 // serveConn runs a connection's read half: parse request lines from raw
 // bytes, claim a ring slot, and add it to the open window (connPipe).
-// Replies are completed into the slot (by a worker, or inline for
-// local/shed requests) and written in request order by connWriter. The
-// reader never blocks on a shard queue - a full queue is an immediate
-// -BUSY - and the writer never blocks completers (every window's done
-// channel holds one buffered token), which is what keeps Close's "drain
-// connections, then workers" sequence deadlock-free.
-func (s *Server) serveConn(c net.Conn) {
+// Flushing a window runs it here, on borrowed shard handles; connWriter
+// then writes its replies in request order while the reader parses on.
+// id, the accept ordinal, shards the obs counters the connection bumps.
+func (s *Server) serveConn(c net.Conn, id int) {
 	defer s.connWg.Done()
 	defer func() {
 		if s.cluster {
@@ -597,12 +585,14 @@ func (s *Server) serveConn(c net.Conn) {
 	n := s.cfg.MaxPipeline
 	slots := make([]slot, n)
 	p := &connPipe{
-		queues: s.queues,
-		free:   make([]*slot, n),
+		s:       s,
+		id:      id,
+		free:    make([]*slot, n),
+		batches: make([][]*slot, len(s.queues)),
 		// Every window in flight holds at least one of the n slots, so
 		// neither channel ever holds more than n windows.
-		issued:   make(chan *window, n),
-		returned: make(chan *window, n),
+		issued:   make(chan []*slot, n),
+		returned: make(chan []*slot, n),
 	}
 	for i := range slots {
 		p.free[i] = &slots[i]
@@ -662,34 +652,12 @@ func lineBuffered(br *bufio.Reader) bool {
 	return bytes.IndexByte(b, '\n') >= 0
 }
 
-// window is one run of pipelined requests: the ones the connection
-// reader parsed from bytes that were already buffered. It is handed on
-// whole - to the writer as one issued item, and to each shard as one
-// queue item carrying that shard's share - so a pipelining client costs
-// one queue send per shard and one writer wake per window, not per
-// request. pending counts the window's unfinished slots plus one unit
-// the reader holds until the flush; the decrement that reaches zero
-// sends the single done token the writer waits on. Windows are
-// per-connection and come back from the writer with their slots, so a
-// window, not a slot, is the unit of recycling too.
-type window struct {
-	slots   []*slot   // request order
-	batches [][]*slot // per-shard share, indexed by shard
-	pending atomic.Int32
-	done    chan struct{}
-}
-
-// finish retires one pending unit of the window.
-func (w *window) finish() {
-	if w.pending.Add(-1) == 0 {
-		w.done <- struct{}{}
-	}
-}
-
 // connPipe is the reader's half of a connection's pipeline: its free
-// slots and spare windows, the issued ring the writer consumes in order,
-// the returned channel on which the writer hands each written window
-// back with its slots, and the open window being filled.
+// slots and spare windows, the open window with its per-shard shares,
+// the issued ring the writer consumes in order, and the returned channel
+// on which the writer hands each written window back with its slots. A
+// window is run, written and recycled whole, so a pipelining client
+// costs one handle borrow per shard and one writer wake per window.
 //
 // The flush rule: the reader flushes its open window before anything
 // that can block - a readLine with no complete line buffered, a body
@@ -698,19 +666,21 @@ func (w *window) finish() {
 // replies before sending more therefore never waits on a window the
 // reader is still holding.
 type connPipe struct {
-	queues   []shardQueue
+	s        *Server
+	id       int
 	free     []*slot
-	spare    []*window
-	issued   chan *window
-	returned chan *window
-	open     *window
+	spare    [][]*slot
+	open     []*slot   // nil when no window is open
+	batches  [][]*slot // the open window's share of each shard
+	issued   chan []*slot
+	returned chan []*slot
 }
 
 // reclaim takes back one window the writer is done with, waiting for it
 // if block is set: its slots rejoin the free list and the window becomes
 // a spare. It reports whether a window came back.
 func (p *connPipe) reclaim(block bool) bool {
-	var w *window
+	var w []*slot
 	if block {
 		w = <-p.returned
 	} else {
@@ -720,12 +690,8 @@ func (p *connPipe) reclaim(block bool) bool {
 			return false
 		}
 	}
-	p.free = append(p.free, w.slots...)
-	w.slots = w.slots[:0]
-	for i := range w.batches {
-		w.batches[i] = w.batches[i][:0]
-	}
-	p.spare = append(p.spare, w)
+	p.free = append(p.free, w...)
+	p.spare = append(p.spare, w[:0])
 	return true
 }
 
@@ -742,125 +708,78 @@ func (p *connPipe) claim() *slot {
 	return sl
 }
 
-// push adds sl, with its pending already set, to the open window,
-// opening one if none is: a spare, one the writer has returned, or -
-// only while the connection warms up - a new one.
+// push adds sl to the open window, opening one if none is: a spare, one
+// the writer has returned, or - only while the connection warms up - a
+// new one. A slot that is only pushed runs on no handle.
 func (p *connPipe) push(sl *slot) {
-	w := p.open
-	if w == nil {
+	if p.open == nil {
 		if len(p.spare) == 0 && !p.reclaim(false) {
-			p.spare = append(p.spare, &window{batches: make([][]*slot, len(p.queues)), done: make(chan struct{}, 1)})
+			p.spare = append(p.spare, make([]*slot, 0, 8))
 		}
-		w = p.spare[len(p.spare)-1]
+		p.open = p.spare[len(p.spare)-1]
 		p.spare = p.spare[:len(p.spare)-1]
-		w.pending.Store(1)
-		p.open = w
 	}
-	w.pending.Add(1)
-	w.slots = append(w.slots, sl)
-	sl.win = w
+	p.open = append(p.open, sl)
 }
 
-// now adds sl to the open window and finishes it on the reader: a local
-// reply, or a shed that never reaches a worker.
-func (p *connPipe) now(sl *slot) {
-	sl.pending.Store(1)
-	p.push(sl)
-	sl.complete(0)
-}
-
-// local finishes a reader-completed slot (no worker involved).
+// local adds a reader-completed reply to the open window.
 func (p *connPipe) local(sl *slot) {
 	sl.local = true
-	p.now(sl)
+	p.push(sl)
 }
 
 // route adds a single-shard request to the open window's share for shard.
 func (p *connPipe) route(sl *slot, shard int) {
-	sl.pending.Store(1)
 	p.push(sl)
-	p.open.batches[shard] = append(p.open.batches[shard], sl)
+	p.batches[shard] = append(p.batches[shard], sl)
 }
 
-// fanout adds a SCAN, SNAPSCAN or MGET to every shard's share; each
-// shard's worker completes one pending unit.
+// fanout adds a SCAN, SNAPSCAN or MGET to every shard's share.
 func (p *connPipe) fanout(sl *slot) {
-	sl.pending.Store(int32(len(p.queues)))
 	p.push(sl)
-	for i := range p.open.batches {
-		p.open.batches[i] = append(p.open.batches[i], sl)
+	for i := range p.batches {
+		p.batches[i] = append(p.batches[i], sl)
 	}
 }
 
-// flush issues the open window to the writer (before any queue send, so
-// the writer sees windows in request order), hands each shard its
-// share, and drops the reader's own pending unit.
+// flush runs the open window - each shard's share in turn, on a handle
+// borrowed from that shard - then completes its slots and issues it to
+// the writer. The reader holds at most one handle at a time and none
+// outside execBatch, so it never waits on its socket, or on a second
+// handle, while holding one.
 func (p *connPipe) flush() {
 	w := p.open
 	if w == nil {
 		return
 	}
 	p.open = nil
-	p.issued <- w
-	for i, b := range w.batches {
+	for i, b := range p.batches {
 		if len(b) > 0 {
-			p.queues[i].enqueue(b)
+			p.s.execBatch(i, p.id, b)
+			p.batches[i] = b[:0]
 		}
 	}
-	w.finish()
+	for _, sl := range w {
+		sl.complete(p.id)
+	}
+	p.issued <- w
 }
 
-// shardQueue is one shard's request queue. Its items are batches (one
-// window's share of the shard) but its bound is in requests: queued
-// counts requests admitted and not yet finished by a worker, admission
-// never lets it exceed depth, and a batch holds at least one request -
-// so the channel, sized depth, never blocks the reader.
+// shardQueue is one shard's admission bound and handle pool. queued
+// counts requests admitted and not yet run; admission never lets it
+// exceed depth, which is what bounds a connection's wait for a handle.
 type shardQueue struct {
-	ch     chan []*slot
-	queued atomic.Int64
-	depth  int64
-}
-
-// enqueue admits the head of b that fits under depth, sends it as one
-// item, and sheds the rest with causeQueue, each at its own position.
-// A shed SCAN share completes -BUSY once every other share resolves
-// (cause is CAS-once, so exactly one shed is counted for the request).
-// The depth histogram samples queued requests after admission, so at
-// saturation it records the full depth the -BUSY threshold acted on.
-func (q *shardQueue) enqueue(b []*slot) {
-	var take, after int64
-	for {
-		cur := q.queued.Load()
-		take = max(0, min(int64(len(b)), q.depth-cur))
-		after = cur + take
-		if take == 0 || q.queued.CompareAndSwap(cur, after) {
-			break
-		}
-	}
-	if obs.Enabled() {
-		obsQueueDepth.Observe(uint64(after))
-	}
-	if take > 0 {
-		q.ch <- b[:take]
-	}
-	for _, sl := range b[take:] {
-		sl.fail(causeQueue)
-		sl.complete(0)
-	}
-}
-
-// done finishes a worker-run slot and releases its queue admission.
-func (q *shardQueue) done(sl *slot, procID int) {
-	q.queued.Add(-1)
-	sl.complete(procID)
+	handles chan shardExec
+	queued  atomic.Int64
+	depth   int64
 }
 
 // readBody reads a length-prefixed value body — n raw bytes plus the
 // terminating LF — into dst (per-slot scratch, grown as needed). The
-// bytes are copied off the connection buffer here, on the reader, because
-// the op may sit in a shard queue long after the parse buffer is
-// recycled; the worker then hands this one copy straight to the value
-// arena (PutB's slab write).
+// bytes are copied off the connection buffer here because the op runs
+// only when its window flushes, after later lines have recycled the
+// parse buffer; execution then hands this one copy straight to the
+// value arena (PutB's slab write).
 func readBody(br *bufio.Reader, dst []byte, n int) ([]byte, error) {
 	if cap(dst) < n {
 		dst = make([]byte, n)
@@ -900,8 +819,8 @@ func discardBody(br *bufio.Reader, n int) error {
 // dispatch routes one parsed request into the open window: local verbs
 // complete inline, single-shard ops join their shard's share, SCAN,
 // SNAPSCAN, and MGET join every shard's share (the leased verbs first
-// draw a snapshot lease; a dry pool sheds with -BUSY before touching any
-// queue). The window keeps slots in exact request order. The conn is threaded
+// draw a snapshot lease; a dry pool sheds with -BUSY before reaching any
+// shard). The window keeps slots in exact request order. The conn is threaded
 // through for the replication verbs, which record it as the shard's
 // stream source (promotion waits for it to close). Value-carrying verbs
 // consume their body here, on the reader, whenever the length field
@@ -1070,9 +989,9 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 			}
 			sl.buf = appendShardSeq(sl.buf[:0], "+PROMOTED", shard, applied)
 		case s.role[shard].Load() == roleReplica:
-			// Blocks this connection goroutine (never a worker — workers
-			// must keep applying the backlog we are waiting on), so the
-			// open window goes out first.
+			// Blocks this connection goroutine, so the open window runs
+			// first: the wait holds no handle, and the stream connection
+			// applying the backlog we are waiting on needs one.
 			p.flush()
 			applied, _ := s.promoteWait(shard)
 			s.role[shard].Store(rolePrimary)
@@ -1174,7 +1093,7 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 		lease, ok := s.leases.Acquire(0)
 		if !ok {
 			sl.fail(causeLease)
-			p.now(sl)
+			p.push(sl)
 			return true
 		}
 		sl.ts, sl.lease = lease.TS(), lease
@@ -1213,12 +1132,12 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 		lease, ok := s.leases.Acquire(0)
 		if !ok {
 			sl.fail(causeLease)
-			p.now(sl)
+			p.push(sl)
 			return true
 		}
 		sl.ts, sl.lease = lease.TS(), lease
-		// Fan to every shard: each worker resolves only the keys its
-		// shard owns, writing disjoint indexes of mvals/mhits.
+		// Fan to every shard: each shard's share resolves only the keys
+		// that shard owns, writing disjoint indexes of mvals/mhits.
 		p.fanout(sl)
 	default:
 		sl.buf = appendErr(sl.buf[:0], "unknown command %q", fields[0])
@@ -1227,17 +1146,18 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 	return true
 }
 
-// connWriter is the connection's write half: it takes issued windows in
-// request order, waits once for each window's done token, writes every
-// reply of the window in order, and returns the window, slots and all,
-// to the reader. Replies coalesce in one buffered writer across windows,
-// which is flushed when no further window is already issued or
-// FlushBatch replies have accumulated. A lock-step client therefore
-// still gets one flush per request, while a pipelining client amortizes
-// the syscall across the window. On a broken peer it keeps draining and
-// returning windows without writing, so workers and the reader never
-// block on a dead connection.
-func (s *Server) connWriter(c net.Conn, issued <-chan *window, returned chan<- *window, writerDone chan<- struct{}) {
+// connWriter is the connection's write half: it takes finished windows
+// in request order, writes every reply of each, and returns the window,
+// slots and all, to the reader. Replies coalesce in one buffered writer
+// across windows, which is flushed when no further window is already
+// issued or MaxPipeline replies have accumulated. A lock-step client
+// therefore still gets one flush per request, while a pipelining client
+// amortizes the syscall across the window. Writing on its own goroutine
+// lets the reader keep absorbing up to MaxPipeline requests while a
+// reply write is blocked on a client that is itself still writing. On
+// a broken peer it keeps draining and returning windows without
+// writing, so the reader never blocks on a dead connection.
+func (s *Server) connWriter(c net.Conn, issued <-chan []*slot, returned chan<- []*slot, writerDone chan<- struct{}) {
 	defer close(writerDone)
 	bw := bufio.NewWriterSize(c, 32<<10)
 	broken := false
@@ -1254,14 +1174,13 @@ func (s *Server) connWriter(c net.Conn, issued <-chan *window, returned chan<- *
 		batch = 0
 	}
 	for w := range issued {
-		<-w.done
-		for _, sl := range w.slots {
+		for _, sl := range w {
 			if !broken {
 				if _, err := bw.Write(sl.payload()); err != nil {
 					broken = true
 				}
 			}
-			if batch++; batch >= s.cfg.FlushBatch {
+			if batch++; batch >= s.cfg.MaxPipeline {
 				flush()
 			}
 		}
@@ -1286,21 +1205,10 @@ func appendStats(buf []byte) []byte {
 	return append(buf, '\n')
 }
 
-// --- worker pool -----------------------------------------------------------
+// --- shard handles ---------------------------------------------------------
 
-// runWorker keeps exactly one session alive until the shard queue
-// closes; a crashed session is replaced with a fresh one (fresh pid),
-// which resumes the batch the crashed one left unfinished. That
-// remainder lives here, outside any session.
-func (s *Server) runWorker(id, shard int) {
-	defer s.workerWg.Done()
-	var rest []*slot
-	for s.workerSession(id, shard, &rest) {
-	}
-}
-
-// shardExec is one worker session's attachment to its shard - a map or
-// a cache handle - behind the one worker loop.
+// shardExec is one attachment to a shard - a map or a cache handle -
+// behind the one execution loop.
 type shardExec interface {
 	exec(s *Server, procID, shard int, sl *slot)
 	Abandon()
@@ -1315,66 +1223,82 @@ type cacheExec struct{ *collections.CacheHandle }
 
 func (x cacheExec) exec(s *Server, _, shard int, sl *slot) { s.execCache(x.CacheHandle, shard, sl) }
 
-// workerSession attaches one handle to this worker's shard and serves
-// that shard's queue, one batch at a time and one slot at a time within
-// it; *rest is the unfinished remainder of the current batch. It returns
-// true when the session died to a simulated crash and should be
-// respawned, false when the queue closed (orderly drain: the handle is
-// detached, flushing deferred work). A crash mid-request fails the
-// in-flight slot - the head of *rest - to -BUSY and abandons the handle:
+// attach attaches a fresh handle (a fresh pid) to shard.
+func (s *Server) attach(shard int) shardExec {
+	if s.cfg.CacheMode {
+		return cacheExec{s.caches[shard].Attach()}
+	}
+	return mapExec{s.shards[shard].Attach()}
+}
+
+// execBatch runs one window's share of shard for connection procID. It
+// admits the head of b that fits under the shard's depth, sheds the rest
+// with causeQueue, each at its own position (a shed SCAN share makes the
+// whole SCAN -BUSY), and runs the admitted requests in order on a handle
+// borrowed from the shard's pool. The depth histogram samples admitted
+// requests after admission, so at saturation it records the full depth
+// the -BUSY threshold acted on.
+func (s *Server) execBatch(shard, procID int, b []*slot) {
+	q := &s.queues[shard]
+	var take, after int64
+	for {
+		cur := q.queued.Load()
+		take = max(0, min(int64(len(b)), q.depth-cur))
+		after = cur + take
+		if take == 0 || q.queued.CompareAndSwap(cur, after) {
+			break
+		}
+	}
+	if obs.Enabled() {
+		obsQueueDepth.Observe(uint64(after))
+	}
+	for _, sl := range b[take:] {
+		sl.fail(causeQueue)
+	}
+	if take == 0 {
+		return
+	}
+	x := <-q.handles
+	for rest := b[:take]; len(rest) > 0; {
+		rest = s.run(&x, shard, procID, rest)
+	}
+	q.handles <- x
+	q.queued.Add(-take)
+}
+
+// run executes b in order on *x. It returns nil, or - when a simulated
+// crash kills the handle mid-request - the rest of b after the in-flight
+// slot, which it fails to -BUSY. The crashed handle is abandoned:
 // announcements, retired list and arena shard stay behind for the
 // shard's survivors (or the teardown drain rounds) to adopt before the
-// pid is reissued. Only this shard's registry is involved: a crash never
-// perturbs the other shards. A cache handle's Abandon additionally
-// re-indexes its in-flight eviction records so no weak unit is lost or
-// doubled.
-func (s *Server) workerSession(id, shard int, rest *[]*slot) (respawn bool) {
-	q := &s.queues[shard]
-	var x shardExec
-	if s.cfg.CacheMode {
-		x = cacheExec{s.caches[shard].Attach()}
-	} else {
-		x = mapExec{s.shards[shard].Attach()}
-	}
+// pid is reissued, and *x becomes a fresh attachment (a fresh pid).
+// Only this shard's registry is involved: a crash never perturbs the
+// other shards. A cache handle's Abandon additionally re-indexes its
+// in-flight eviction records so no weak unit is lost or doubled.
+func (s *Server) run(x *shardExec, shard, procID int, b []*slot) (rest []*slot) {
 	defer func() {
 		r := recover()
 		if r == nil {
-			x.Close()
 			return
 		}
 		if _, ok := r.(chaos.CrashSignal); !ok {
 			panic(r) // real bug (UAF, invariant breach): fail loudly
 		}
-		obsWorkerDead.Inc(id)
-		x.Abandon()
-		sl := (*rest)[0]
-		*rest = (*rest)[1:]
-		sl.fail(causeCrash)
-		q.done(sl, id)
-		respawn = true
+		obsWorkerDead.Inc(procID)
+		(*x).Abandon()
+		*x = s.attach(shard)
+		rest[0].fail(causeCrash)
+		rest = rest[1:]
 	}()
-	for {
-		for len(*rest) > 0 {
-			sl := (*rest)[0]
-			chaosWorkerOp.Fire()
-			x.exec(s, id, shard, sl)
-			*rest = (*rest)[1:]
-			q.done(sl, id)
-		}
-		// Drop the finished batch: its backing array is the window's, and
-		// through the slots it reaches the connection's whole ring, scan
-		// segments included, long after the connection closed.
-		*rest = nil
-		b, ok := <-q.ch
-		if !ok {
-			return false
-		}
-		*rest = b
+	for rest = b; len(rest) > 0; rest = rest[1:] {
+		chaosWorkerOp.Fire()
+		(*x).exec(s, procID, shard, rest[0])
 	}
+	return nil
 }
 
 // exec runs one request (or, for SCAN, this shard's share of one)
-// against the worker's shard handle, rendering the reply into the
+// against a borrowed shard handle, rendering the reply into the
 // slot's scratch. The GET/PUT/DEL path performs zero heap allocations
 // once the slot's buffers are warm; in single-node mode the cluster
 // checks cost one nil load per write.
@@ -1450,8 +1374,8 @@ func (s *Server) exec(h *collections.MapHandle, procID, shard int, sl *slot) {
 		sl.scan.ns[shard] = n
 	case opMGet:
 		// Resolve only this shard's keys, at the slot's lease timestamp;
-		// the workers write disjoint mvals/mhits indexes (each index's
-		// scratch keeps its capacity across requests).
+		// the shard shares write disjoint mvals/mhits indexes (each
+		// index's scratch keeps its capacity across requests).
 		for i, k := range sl.keys {
 			if s.shardOf(k) != shard {
 				continue
@@ -1471,8 +1395,8 @@ func (s *Server) exec(h *collections.MapHandle, procID, shard int, sl *slot) {
 // its socket stays open, so the reader stops claiming slots but the
 // writer flushes a reply — or -BUSY — for every ring entry already
 // issued, bounded by DrainGrace against peers that stop reading. After
-// the conns: close the shard queues, drain the worker pool, replay any
-// replication-log backlog to the replicas, clear every shard, and run
+// the conns, every handle is back in its pool: detach them all, replay
+// any replication-log backlog to the replicas, clear every shard, and run
 // adoption/flush rounds until Live() == 0. The drain rounds matter
 // after crashes: abandoned arena shards and deferred decrements are
 // only adopted when some thread ejects or scans, so shutdown attaches
@@ -1523,11 +1447,15 @@ func (s *Server) shutdown(graceful bool) error {
 			}
 		}
 		s.connWg.Wait()
+		// No connection is left to borrow a handle, so every one is back
+		// in its pool: detach them, flushing their deferred work.
 		for i := range s.queues {
-			close(s.queues[i].ch)
+			q := &s.queues[i]
+			for range cap(q.handles) {
+				(<-q.handles).Close()
+			}
 		}
-		s.workerWg.Wait()
-		// Workers are gone, so the replication logs are final: ship the
+		// Nothing executes any more, so the replication logs are final: ship the
 		// unacked backlog to the replicas (Kill included), bounded by
 		// ReplDrainTimeout; what cannot be delivered is counted in
 		// server.repl.lost rather than dropped silently.

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -195,10 +198,13 @@ func TestCrashMidBatchResumes(t *testing.T) {
 	}
 }
 
-// TestQueueDepthCountsRequests bounds a shard queue by requests, not by
-// the batches they travel in: with the worker stalled, a 16-request
-// window to one shard behind QueueDepth 4 runs its first 4 requests and
-// sheds exactly the other 12, each at its own position.
+// TestQueueDepthCountsRequests bounds a shard's admission by requests,
+// not by the batches they travel in: with the handle stalled, a
+// 16-request window to one shard behind QueueDepth 4 runs its first 4
+// requests and sheds exactly the other 12, each at its own position. In
+// the two-connection case, connection A's stalled request holds the
+// shard's only handle and one unit of its depth, so connection B's
+// window runs 3 requests and sheds the other 13.
 func TestQueueDepthCountsRequests(t *testing.T) {
 	chaos.Enable(chaos.Config{
 		Seed: 3,
@@ -231,5 +237,162 @@ func TestQueueDepthCountsRequests(t *testing.T) {
 	checkConservation(t, 16+16, busys)
 	if q := obs.Snapshot().Counter("server.busy.queue"); obs.BuildEnabled && q != 12 {
 		t.Errorf("server.busy.queue = %d, want 12", q)
+	}
+
+	t.Run("two connections", func(t *testing.T) {
+		if !obs.BuildEnabled {
+			t.Skip("polls the server.queue.0 gauge, which obsoff compiles out")
+		}
+		chaos.Enable(chaos.Config{
+			Seed: 3,
+			Faults: map[string]chaos.Fault{
+				"server.worker.op": {Every: 1, Sleep: 500 * time.Millisecond},
+			},
+		})
+		defer chaos.Disable()
+		obs.Enable()
+		defer obs.Disable()
+
+		s := newTestServer(t, Config{Shards: 1, Workers: 1, QueueDepth: 4, ExpectedKeys: 64})
+		a, b := dialTest(t, s), dialTest(t, s)
+		defer a.Close()
+		defer b.Close()
+		aErr := make(chan error, 1)
+		go func() {
+			_, _, err := a.Put(100, tb(100))
+			aErr <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); obs.Snapshot().Gauges["server.queue.0"] != 1; {
+			if time.Now().After(deadline) {
+				t.Fatal("connection A's request never held the shard's handle")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		var busys int64
+		for i, r := range windowOfPuts(t, b) {
+			if want := i >= 3; r.Busy != want || (!r.Busy && r.Found) {
+				t.Fatalf("reply %d = %+v, want busy=%v", i, r, want)
+			}
+			if r.Busy {
+				busys++
+			}
+		}
+		if err := <-aErr; err != nil {
+			t.Fatalf("connection A's Put: %v", err)
+		}
+		chaos.Disable()
+		checkLanded(t, b, func(key uint64) bool { return key < 3 })
+		a.Close()
+		b.Close()
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		checkConservation(t, 1+16+16, busys)
+		if q := obs.Snapshot().Counter("server.busy.queue"); q != 13 {
+			t.Errorf("server.busy.queue = %d, want 13", q)
+		}
+	})
+}
+
+// TestPipelineLargeRepliesBeforeRead pins why a connection keeps a
+// writer goroutine beside its reader: a client that writes a whole
+// window of large PUTs before it reads any reply must get every reply.
+// The second round's replies echo the first round's 64 MiB of values. A
+// reader that wrote its own replies would block on the socket while the
+// client is still writing, and neither side would read again, so the
+// deadline fails the case.
+func TestPipelineLargeRepliesBeforeRead(t *testing.T) {
+	const n, size = 64, 1 << 20
+	s := newTestServer(t, Config{Shards: 2, Workers: 2, ExpectedKeys: 256})
+	cl := dialTest(t, s)
+	defer cl.Close()
+	cl.c.SetDeadline(time.Now().Add(20 * time.Second))
+	val := make([]byte, size)
+	var b Batch
+	var res []Result
+	for round := 0; round < 2; round++ {
+		b.Reset()
+		for k := 0; k < n; k++ {
+			for i := range val {
+				val[i] = byte(round*n + k)
+			}
+			b.Put(uint64(k), val)
+		}
+		var err error
+		if res, err = cl.DoBatch(&b, res[:0]); err != nil {
+			t.Fatalf("round %d: DoBatch: %v: replies and requests deadlocked", round, err)
+		}
+		for k, r := range res {
+			if r.Busy || r.Found != (round == 1) {
+				t.Fatalf("round %d reply %d = busy %v found %v", round, k, r.Busy, r.Found)
+			}
+			if round == 1 && (len(r.Bytes) != size || bytes.Count(r.Bytes, []byte{byte(k)}) != size) {
+				t.Fatalf("round 1 reply %d does not echo round 0's value", k)
+			}
+		}
+	}
+	cl.Close()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if live := s.Live(); live != 0 {
+		t.Fatalf("Live() = %d after Close, want 0", live)
+	}
+}
+
+// TestHandlesBoundPids checks that the pids a server attaches are
+// bounded by its handle pool, not by its connections: with one pid per
+// shard registry, 16 concurrent pipelined connections share the two
+// pooled handles. Attaching per connection would panic with
+// "pid: registry full".
+func TestHandlesBoundPids(t *testing.T) {
+	const conns, rounds = 16, 20
+	s := newTestServer(t, Config{Shards: 2, Workers: 2, MaxProcs: 1, ExpectedKeys: 1 << 10})
+	var wg sync.WaitGroup
+	errs := make(chan error, conns)
+	for c := uint64(0); c < conns; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, err := Dial(s.Addr())
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer cl.Close()
+			var b Batch
+			var res []Result
+			for round := uint64(0); round < rounds; round++ {
+				b.Reset()
+				for k := c * 100; k < c*100+16; k++ {
+					if round%2 == 0 {
+						b.Put(k, tb(k<<8|round))
+					} else {
+						b.Get(k)
+					}
+				}
+				if res, err = cl.DoBatch(&b, res[:0]); err != nil {
+					errs <- err
+					return
+				}
+				for i, r := range res {
+					if k := c*100 + uint64(i); round%2 == 1 && r.Found && bu(r.Bytes)>>8 != k {
+						errs <- fmt.Errorf("GET %d returned key %d's value", k, bu(r.Bytes)>>8)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if live := s.Live(); live != 0 {
+		t.Fatalf("Live() = %d after Close, want 0", live)
 	}
 }

@@ -147,15 +147,18 @@ go run -race ./cmd/cdrc-load -duration 5s -conns 4 -pipeline 16 -json-out /tmp/c
 echo "==> pipelined loopback soak under chaos (5s, race, depth 16, 2 simulated worker crashes)"
 go run -race ./cmd/cdrc-load -duration 5s -conns 4 -pipeline 16 -chaos -chaos-seed 1 -crash-workers 2
 
-# Server window handoff regression pass (DESIGN.md §7): the reader's
-# flush-before-blocking rule (partial line, held-back body), a crash in
-# the middle of a batch resuming on the respawned worker, QueueDepth
-# counted in requests rather than batches, and the pipelined ordering,
-# queue-shed, zero-alloc and split-segment suites the window path runs
-# through. Already in the ./... sweep; repeated under the race detector
-# to keep the regressions named and re-runnable.
-echo "==> server window handoff regression pass (race, count 5)"
-go test -race -count 5 -run 'WindowFlush|CrashMidBatch|QueueDepthCounts|PipelinedOrdering|QueueBusy|ServerGetZeroAlloc|SplitSegment' ./internal/server
+# Server window and handle-pool regression pass (DESIGN.md §7): the
+# reader's flush-before-blocking rule (partial line, held-back body), a
+# crash in the middle of a batch resuming on a fresh handle, QueueDepth
+# counted in requests rather than batches (one connection, and two
+# contending for one handle), large replies written while the client is
+# still writing, pids bounded by the handle pool rather than by
+# connections, and the pipelined ordering, queue-shed, zero-alloc and
+# split-segment suites the window path runs through. Already in the
+# ./... sweep; repeated under the race detector to keep the regressions
+# named and re-runnable.
+echo "==> server window and handle-pool regression pass (race, count 5)"
+go test -race -count 5 -run 'WindowFlush|CrashMidBatch|QueueDepthCounts|PipelineLargeRepliesBeforeRead|HandlesBoundPids|PipelinedOrdering|QueueBusy|ServerGetZeroAlloc|SplitSegment' ./internal/server
 
 # Snapshot-read regression pass: the SCAN row-cap fix, pipelined
 # slot-reuse fix, MGET/SNAPSCAN point-in-time consistency, lease-pool
@@ -230,8 +233,9 @@ awk -v d1="$d1" -v d16="$d16" 'BEGIN {
 # version history but never block writers, so the only writer cost is
 # the O(1) version-cell work. Best of 2 per configuration because on a
 # small box the p99 tail is scheduler noise; a systematic snapshot cost
-# would survive the min. Workers exceed shards so a put is never stuck
-# behind a scanning worker by construction.
+# would survive the min. Handles (-workers) exceed shards, so while one
+# connection scans a shard on one handle a put to that shard can borrow
+# another instead of waiting for the scan.
 echo "==> snapshot-scan PUT latency gate (p99 under SNAPSCAN vs no-scan, best of 2)"
 put_p99() {
     awk -F'[:,]' '/"put"/ {f=1} f && /"p99"/ {gsub(/[ "]/, "", $2); print $2; exit}' "$1"
