@@ -278,9 +278,22 @@ func (d *Domain[T]) SetValueSlabs(vp ValuePool) { d.cfg.ValueSlabs = vp }
 // Thread is a processor-bound operation context. Obtain with Attach; call
 // Detach when the worker is done. Not safe for concurrent use.
 type Thread[T any] struct {
+	// Pads keep the single-writer fields below off lines shared with
+	// neighbouring heap objects: a Thread is written on every snapshot
+	// and count touch, so false sharing there shows up per operation.
+	_ [64]byte
+
 	d        *Domain[T]
 	pid      int
 	snapNext int // round-robin victim for snapshot-slot takeover
+
+	// snapHeld mirrors this pid's snapshot slots (index 0, the acquire
+	// slot, is unused): the word a live snapshot announces there, or 0
+	// when the slot is free. Only the owner writes its snapshot slots, so
+	// the mirror is exact and the snapshot paths never read a shared
+	// word. A free slot may still hold the announcement of a released
+	// snapshot (see ReleaseSnapshot).
+	snapHeld [acqret.SlotsPerProc]arena.Handle
 
 	// rights is the stack of pids this thread currently holds registry
 	// reservations for (biased.go): a merge performed under a
@@ -297,6 +310,8 @@ type Thread[T any] struct {
 	nUnbias uint64
 
 	ejectDebt int // merge retires not yet paired with an eject (retireWord)
+
+	_ [64]byte
 }
 
 // Domain returns the thread's domain.
@@ -309,8 +324,8 @@ func (t *Thread[T]) ProcID() int { return t.pid }
 // still-deferred decrements are adopted by other threads' scans (or by
 // Domain drains). Snapshots must be released before detaching.
 func (t *Thread[T]) Detach() {
-	for s := 1; s <= acqret.MaxSnapshots; s++ {
-		if t.d.ar.ReadSlot(t.pid, s) != 0 {
+	for _, h := range t.snapHeld {
+		if h != 0 {
 			panic("core: Detach with live snapshots")
 		}
 	}
@@ -366,19 +381,26 @@ func (d *Domain[T]) Adopted() uint64 { return d.ar.Adopted() }
 // That case is rare (it needs 8+ simultaneous snapshots) and the leak is
 // bounded by one count per takeover, so recover paths accept it.
 func (t *Thread[T]) ReleaseStraySnapshots() {
-	for s := 0; s <= acqret.MaxSnapshots; s++ {
-		if t.d.ar.ReadSlot(t.pid, s) != 0 {
-			t.d.ar.Release(t.pid, s)
-		}
+	for s := 0; s < acqret.SlotsPerProc; s++ {
+		t.d.ar.Release(t.pid, s)
 	}
+	t.snapHeld = [acqret.SlotsPerProc]arena.Handle{}
 }
 
 // drainLocal synchronously ejects and applies everything currently
 // safe, folding queued merge requests as it goes (a fold can retire a
 // synthetic unit, and an applied decrement can queue a merge, so the
-// loop runs both to a joint fixed point).
+// loop runs both to a joint fixed point). It first clears the stale
+// announcements released snapshots left in mirror-free slots, so they
+// stop delaying ejects. Only a non-empty slot is stored to: other pids'
+// scans keep these lines shared, and a store must take the line back.
 func (t *Thread[T]) drainLocal() {
 	defer t.flushRcTally()
+	for s := 1; s <= acqret.MaxSnapshots; s++ {
+		if t.snapHeld[s] == 0 && t.d.ar.ReadSlot(t.pid, s) != 0 {
+			t.d.ar.Release(t.pid, s)
+		}
+	}
 	for {
 		if t.d.inboxes[t.pid].n.Load() != 0 {
 			t.drainMergeInbox()
@@ -804,11 +826,12 @@ func (t *Thread[T]) GetSnapshot(a *AtomicRcPtr) Snapshot {
 	w := t.d.ar.Acquire(t.pid, slot, &a.w)
 	h := arena.Handle(w)
 	if h.IsNil() {
-		// Nothing to protect; hand the slot back immediately. The word is
-		// preserved so a marked nil keeps its marks.
-		t.d.ar.Release(t.pid, slot)
+		// Nothing to protect; the slot stays free, and the nil word it
+		// announces protects nothing. The word is preserved so a marked
+		// nil keeps its marks.
 		return Snapshot{h: h}
 	}
+	t.snapHeld[slot] = h
 	chaosSnapshotAcquired.Fire()
 	obsIncrDeferred.Inc(t.pid)
 	return Snapshot{h: h, slot: slot}
@@ -819,21 +842,19 @@ func (t *Thread[T]) GetSnapshot(a *AtomicRcPtr) Snapshot {
 // (its object's count is bumped) so that it remains valid after losing its
 // announcement (Fig. 4 get_slot).
 func (t *Thread[T]) getSlot() int {
-	ar := t.d.ar
 	for s := 1; s <= acqret.MaxSnapshots; s++ {
-		if ar.ReadSlot(t.pid, s) == 0 {
+		if t.snapHeld[s] == 0 {
 			return s
 		}
 	}
 	slot := 1 + t.snapNext
 	t.snapNext = (t.snapNext + 1) % acqret.MaxSnapshots
 	obsTakeover.Inc(t.pid)
-	w := arena.Handle(ar.ReadSlot(t.pid, slot))
-	if !w.IsNil() {
-		t.increment(w.Unmarked())
-	}
-	// The slot will be overwritten by the caller's Acquire; clearing is
-	// unnecessary but keeps the window where it protects two things short.
+	t.increment(t.snapHeld[slot].Unmarked())
+	// The victim no longer owns the slot: its release now pays the
+	// decrement. The announcement stays until the caller's Acquire
+	// overwrites it.
+	t.snapHeld[slot] = 0
 	return slot
 }
 
@@ -841,12 +862,17 @@ func (t *Thread[T]) getSlot() int {
 // announcement slot the release is free; if the slot was taken over, the
 // deferred increment was applied at takeover, so a decrement is due
 // (Fig. 4 release_snapshot). The snapshot is reset to nil.
+//
+// A free release touches no shared word: it marks the slot free in the
+// mirror and leaves the announcement in place. The stale announcement can
+// only delay an eject, and it ends at the slot's next acquire, this pid's
+// next drain, or Detach (DESIGN.md §4).
 func (t *Thread[T]) ReleaseSnapshot(s *Snapshot) {
 	if s.h.IsNil() {
 		return
 	}
-	if s.slot != 0 && arena.Handle(t.d.ar.ReadSlot(t.pid, s.slot)) == s.h {
-		t.d.ar.Release(t.pid, s.slot)
+	if s.slot != 0 && t.snapHeld[s.slot] == s.h {
+		t.snapHeld[s.slot] = 0
 	} else {
 		t.decrement(s.h)
 	}
