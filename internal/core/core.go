@@ -290,9 +290,7 @@ type Thread[T any] struct {
 	// snapHeld mirrors this pid's snapshot slots (index 0, the acquire
 	// slot, is unused): the word a live snapshot announces there, or 0
 	// when the slot is free. Only the owner writes its snapshot slots, so
-	// the mirror is exact and the snapshot paths never read a shared
-	// word. A free slot may still hold the announcement of a released
-	// snapshot (see ReleaseSnapshot).
+	// the mirror is exact and the snapshot paths read no shared word.
 	snapHeld [acqret.SlotsPerProc]arena.Handle
 
 	// rights is the stack of pids this thread currently holds registry
@@ -381,8 +379,10 @@ func (d *Domain[T]) Adopted() uint64 { return d.ar.Adopted() }
 // That case is rare (it needs 8+ simultaneous snapshots) and the leak is
 // bounded by one count per takeover, so recover paths accept it.
 func (t *Thread[T]) ReleaseStraySnapshots() {
-	for s := 0; s < acqret.SlotsPerProc; s++ {
-		t.d.ar.Release(t.pid, s)
+	for s := 0; s <= acqret.MaxSnapshots; s++ {
+		if t.d.ar.ReadSlot(t.pid, s) != 0 {
+			t.d.ar.Release(t.pid, s)
+		}
 	}
 	t.snapHeld = [acqret.SlotsPerProc]arena.Handle{}
 }
@@ -390,17 +390,9 @@ func (t *Thread[T]) ReleaseStraySnapshots() {
 // drainLocal synchronously ejects and applies everything currently
 // safe, folding queued merge requests as it goes (a fold can retire a
 // synthetic unit, and an applied decrement can queue a merge, so the
-// loop runs both to a joint fixed point). It first clears the stale
-// announcements released snapshots left in mirror-free slots, so they
-// stop delaying ejects. Only a non-empty slot is stored to: other pids'
-// scans keep these lines shared, and a store must take the line back.
+// loop runs both to a joint fixed point).
 func (t *Thread[T]) drainLocal() {
 	defer t.flushRcTally()
-	for s := 1; s <= acqret.MaxSnapshots; s++ {
-		if t.snapHeld[s] == 0 && t.d.ar.ReadSlot(t.pid, s) != 0 {
-			t.d.ar.Release(t.pid, s)
-		}
-	}
 	for {
 		if t.d.inboxes[t.pid].n.Load() != 0 {
 			t.drainMergeInbox()
@@ -826,9 +818,9 @@ func (t *Thread[T]) GetSnapshot(a *AtomicRcPtr) Snapshot {
 	w := t.d.ar.Acquire(t.pid, slot, &a.w)
 	h := arena.Handle(w)
 	if h.IsNil() {
-		// Nothing to protect; the slot stays free, and the nil word it
-		// announces protects nothing. The word is preserved so a marked
-		// nil keeps its marks.
+		// Nothing to protect; hand the slot back immediately. The word is
+		// preserved so a marked nil keeps its marks.
+		t.d.ar.Release(t.pid, slot)
 		return Snapshot{h: h}
 	}
 	t.snapHeld[slot] = h
@@ -852,8 +844,7 @@ func (t *Thread[T]) getSlot() int {
 	obsTakeover.Inc(t.pid)
 	t.increment(t.snapHeld[slot].Unmarked())
 	// The victim no longer owns the slot: its release now pays the
-	// decrement. The announcement stays until the caller's Acquire
-	// overwrites it.
+	// decrement. The caller's Acquire overwrites the announcement.
 	t.snapHeld[slot] = 0
 	return slot
 }
@@ -862,17 +853,15 @@ func (t *Thread[T]) getSlot() int {
 // announcement slot the release is free; if the slot was taken over, the
 // deferred increment was applied at takeover, so a decrement is due
 // (Fig. 4 release_snapshot). The snapshot is reset to nil.
-//
-// A free release touches no shared word: it marks the slot free in the
-// mirror and leaves the announcement in place. The stale announcement can
-// only delay an eject, and it ends at the slot's next acquire, this pid's
-// next drain, or Detach (DESIGN.md §4).
+// Ownership is read from the mirror, so the only shared access is the
+// store that clears the announcement.
 func (t *Thread[T]) ReleaseSnapshot(s *Snapshot) {
 	if s.h.IsNil() {
 		return
 	}
 	if s.slot != 0 && t.snapHeld[s.slot] == s.h {
 		t.snapHeld[s.slot] = 0
+		t.d.ar.Release(t.pid, s.slot)
 	} else {
 		t.decrement(s.h)
 	}

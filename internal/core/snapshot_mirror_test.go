@@ -8,24 +8,20 @@ import (
 	"cdrc/internal/arena"
 )
 
-// checkMirror fails unless every held mirror entry equals the word its
-// slot announces.
+// checkMirror fails unless every snapshot slot announces exactly what
+// the mirror holds: a held snapshot's word, or 0 for a free slot.
 func checkMirror[T any](t *testing.T, th *Thread[T], step int) {
 	t.Helper()
 	for s := 1; s <= acqret.MaxSnapshots; s++ {
-		h := th.snapHeld[s]
-		if h == 0 {
-			continue
-		}
-		if got := arena.Handle(th.d.ar.ReadSlot(th.pid, s)); got != h {
-			t.Fatalf("step %d: slot %d announces %#x, mirror holds %#x", step, s, got, h)
+		if got := arena.Handle(th.d.ar.ReadSlot(th.pid, s)); got != th.snapHeld[s] {
+			t.Fatalf("step %d: slot %d announces %#x, mirror holds %#x", step, s, got, th.snapHeld[s])
 		}
 	}
 }
 
 // Random snapshot traffic - acquires past the slot count (takeovers),
 // releases in any order, nil and marked-nil cells - keeps the mirror
-// equal to the slots it claims, and leaves every count where it started.
+// equal to the slots, and leaves every count where it started.
 func TestSnapshotMirrorTracksSlots(t *testing.T) {
 	d := newNodeDomain(2)
 	th := d.Attach()
@@ -72,7 +68,7 @@ func TestSnapshotMirrorTracksSlots(t *testing.T) {
 		}
 	}
 
-	// Leave a mix of held slots and stale announcements, then recover.
+	// Leave held and released slots behind, then recover.
 	for i := 0; i < 3; i++ {
 		s := th.GetSnapshot(&cells[2+i])
 		if i == 1 {
@@ -100,84 +96,41 @@ func TestSnapshotMirrorTracksSlots(t *testing.T) {
 	}
 }
 
-// A released snapshot's announcement stays until its owner's next drain:
-// it keeps the object alive through another pid's Flush, and the owner's
-// drain clears it.
-func TestReleasedSnapshotClearedAtDrain(t *testing.T) {
+// Released snapshots pin nothing, even while their thread stays
+// attached and idle: a reader walks a linked chain hand over hand, and
+// once a writer unlinks the chain every node is reclaimed without the
+// reader draining. A leftover announcement on any node would keep it and
+// every node after it alive.
+func TestReleasedSnapshotsPinNothing(t *testing.T) {
+	const n = 16
 	d := newNodeDomain(3)
-	reader := d.Attach()
 	writer := d.Attach()
-	var cell AtomicRcPtr
-	writer.StoreMove(&cell, writer.NewRc(nil))
-
-	s := reader.GetSnapshot(&cell)
-	slot := s.slot
-	reader.ReleaseSnapshot(&s)
-	if reader.d.ar.ReadSlot(reader.pid, slot) == 0 {
-		t.Fatal("release cleared the announcement")
+	reader := d.Attach()
+	var head AtomicRcPtr
+	next := NilRcPtr
+	for i := n - 1; i >= 0; i-- {
+		next = writer.NewRc(func(nd *node) { nd.Next.Init(next) })
 	}
+	head.Init(next)
 
-	writer.StoreMove(&cell, NilRcPtr)
-	drain(writer)
-	if live := d.Live(); live != 1 {
-		t.Fatalf("Live = %d with a stale announcement, want 1", live)
+	hops := 0
+	s := reader.GetSnapshot(&head)
+	for !s.IsNil() {
+		nx := reader.GetSnapshot(&reader.DerefSnapshot(s).Next)
+		reader.ReleaseSnapshot(&s)
+		s = nx
+		hops++
 	}
+	if hops != n {
+		t.Fatalf("walked %d hops, want %d", hops, n)
+	}
+	checkMirror(t, reader, hops)
 
-	reader.Flush()
-	if w := reader.d.ar.ReadSlot(reader.pid, slot); w != 0 {
-		t.Fatalf("slot %d still announces %#x after the owner's drain", slot, w)
-	}
+	writer.StoreMove(&head, NilRcPtr)
 	drain(writer)
 	if live := d.Live(); live != 0 {
-		t.Fatalf("Live = %d after the owner's drain", live)
+		t.Fatalf("Live = %d with the reader idle, want 0", live)
 	}
 	reader.Detach()
 	writer.Detach()
-}
-
-// An idle thread's released snapshots pin at most one object per slot,
-// however much another pid retires meanwhile.
-func TestStaleAnnouncementsBounded(t *testing.T) {
-	d := newNodeDomain(3)
-	idle := d.Attach()
-	churn := d.Attach()
-
-	var cells [acqret.MaxSnapshots]AtomicRcPtr
-	for i := range cells {
-		churn.StoreMove(&cells[i], churn.NewRc(nil))
-	}
-	var snaps [acqret.MaxSnapshots]Snapshot
-	for i := range cells {
-		snaps[i] = idle.GetSnapshot(&cells[i])
-	}
-	for i := range snaps {
-		idle.ReleaseSnapshot(&snaps[i])
-	}
-
-	for i := 0; i < 10000; i++ {
-		churn.StoreMove(&cells[i%len(cells)], churn.NewRc(nil))
-	}
-	drain(churn)
-	occupants := int64(len(cells))
-	if pinned := d.Live() - occupants; pinned > acqret.MaxSnapshots {
-		t.Fatalf("%d objects pinned by %d stale announcements", pinned, acqret.MaxSnapshots)
-	}
-	if def := d.Deferred(); def > acqret.MaxSnapshots {
-		t.Fatalf("Deferred = %d, want at most %d", def, acqret.MaxSnapshots)
-	}
-
-	idle.Flush()
-	drain(churn)
-	if live := d.Live(); live != occupants {
-		t.Fatalf("Live = %d after the idle thread drained, want %d", live, occupants)
-	}
-	for i := range cells {
-		churn.StoreMove(&cells[i], NilRcPtr)
-	}
-	drain(churn)
-	idle.Detach()
-	churn.Detach()
-	if live := d.Live(); live != 0 {
-		t.Fatalf("Live = %d", live)
-	}
 }

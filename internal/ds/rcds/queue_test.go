@@ -159,3 +159,28 @@ func TestQueueMemoryBounded(t *testing.T) {
 		t.Fatalf("Deferred = %d at quiescence", def)
 	}
 }
+
+// An idle handle must not pin the queue. Its last operation, a Dequeue
+// of an empty queue, only read the dummy; once it returns nothing of its
+// stays announced, so the nodes another handle dequeues afterwards (each
+// linked to the next) are reclaimed while it stays attached. busy
+// attaches first so that it, not the idle handle, owns the first dummy's
+// biased count, whose merges would otherwise wait in the idle pid's inbox.
+func TestQueueIdleHandleDoesNotPin(t *testing.T) {
+	q := NewQueue(3)
+	busy := q.Attach()
+	idle := q.Attach()
+	if _, ok := idle.Dequeue(); ok {
+		t.Fatal("dequeued from an empty queue")
+	}
+	for i := uint64(0); i < 10000; i++ {
+		busy.Enqueue(i)
+		busy.Dequeue()
+	}
+	busy.th.Flush()
+	if live := q.LiveNodes(); live != 1 {
+		t.Fatalf("LiveNodes = %d with an idle handle attached, want 1 (the dummy)", live)
+	}
+	idle.Detach()
+	busy.Detach()
+}

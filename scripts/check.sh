@@ -123,14 +123,15 @@ go test -race -count 3 -run 'RecordSharesLineWithHeader|EvictSpareKeepsRef|Cache
 
 # Snapshot fast-path regression pass (DESIGN.md §4, snapshots): the
 # owner-local slot mirror against the shared slots under random
-# acquire/release/takeover/nil traffic, release without a clearing store
-# (the stale announcement ends at the owner's drain and pins at most one
-# object per slot), Detach's live-snapshot panic read from the mirror,
-# and the takeover tests, single-threaded and concurrent. Already in the
-# ./... sweep; repeated under the race detector to keep the regressions
-# named and re-runnable.
+# acquire/release/takeover/nil traffic, released snapshots pinning
+# nothing while their thread idles (a linked chain in core, a queue in
+# rcds), Detach's live-snapshot panic read from the mirror, and the
+# takeover tests, single-threaded and concurrent. Already in the ./...
+# sweep; repeated under the race detector to keep the regressions named
+# and re-runnable.
 echo "==> snapshot fast-path regression pass (race, count 3)"
-go test -race -count 3 -run 'SnapshotMirrorTracksSlots|ReleasedSnapshotClearedAtDrain|StaleAnnouncementsBounded|DetachWithLiveSnapshotPanics|Takeover|ManySnapshotsOfSameObject' ./internal/core
+go test -race -count 3 -run 'SnapshotMirrorTracksSlots|ReleasedSnapshotsPinNothing|DetachWithLiveSnapshotPanics|Takeover|ManySnapshotsOfSameObject|MarkedNilSnapshotPreservesMarks' ./internal/core
+go test -race -count 3 -run 'QueueIdleHandleDoesNotPin' ./internal/ds/rcds
 
 echo "==> chaos soak (10s, seed 1, 2 simulated crashes per configuration)"
 go run ./cmd/cdrc-stress -duration 10s -chaos -chaos-seed 1 -crash-workers 2
