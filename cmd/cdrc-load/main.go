@@ -416,12 +416,6 @@ func main() {
 	fmt.Printf("cdrc-load: %d ops (%.0f/s): ok=%d busy=%d err=%d integrity-violations=%d crashes=%d\n",
 		total.sends, opsPerSec, total.oks, total.busys, total.errs, total.integrity, crashes)
 	reportValClasses(r)
-	biasHit := 0.0
-	if b, s := r.Counter("core.rc.biased"), r.Counter("core.rc.shared"); b+s > 0 {
-		biasHit = float64(b) / float64(b+s)
-		fmt.Printf("cdrc-load: rc bias hit-ratio %.3f (biased=%d shared=%d merges=%d)\n",
-			biasHit, b, s, r.Counter("core.rc.merge"))
-	}
 	type quantiles struct {
 		P50   float64 `json:"p50"`
 		P99   float64 `json:"p99"`
@@ -458,9 +452,8 @@ func main() {
 			OK          int64                `json:"ok"`
 			Busy        int64                `json:"busy"`
 			Crashes     int64                `json:"crashes"`
-			BiasHit     float64              `json:"rcBiasHitRatio"`
 			LatencyNs   map[string]quantiles `json:"latencyNs"`
-		}{*pipeline, *conns, secs, total.sends, opsPerSec, total.oks, total.busys, crashes, biasHit, latencies}
+		}{*pipeline, *conns, secs, total.sends, opsPerSec, total.oks, total.busys, crashes, latencies}
 		j, err := json.MarshalIndent(&summary, "", "  ")
 		if err == nil {
 			err = os.WriteFile(*jsonOut, append(j, '\n'), 0o644)

@@ -335,10 +335,9 @@ func TestVersionedMapConcurrent(t *testing.T) {
 // of the repository benchmark at test scale: two handles share one
 // versioned map over a lease pool and take turns running windows of 16
 // ops, 90/10 GET/PUT of 64 B values on a small hot key set, with no
-// Flush. Half the overwrites drop a version biased to the other handle's
-// pid, so their final units retire through merges; if those retires go
-// unpaid, ejected-but-unreturned work piles up and every dead version
-// pins its node and value slab. Both gauges must stay within a fixed
+// Flush. Half the overwrites drop a version the other handle allocated;
+// if a retire goes unpaid by its ejects, ejected-but-unreturned work
+// piles up and every dead version pins its node and value slab. Both gauges must stay within a fixed
 // bound for the whole run, and teardown must reclaim everything.
 func TestVersionedMapSharedHandlesReclaimBounded(t *testing.T) {
 	const (

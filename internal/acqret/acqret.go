@@ -140,9 +140,8 @@ func WithNormalizer(f func(uint64) uint64) Option {
 // processor's arena magazines (active and spare) to the global block
 // stack here, so an id is never reissued while its magazines are
 // non-empty. The hook runs on the adopting goroutine with the domain's
-// adoption lock held; the only domain entry point it may call back into
-// is RetireOrphan (used to re-defer count units the evacuation itself
-// mints) — anything else risks deadlock on the adoption lock.
+// adoption lock held, so it must not call back into the domain: that
+// risks deadlock on the adoption lock.
 func WithAdoptHook(f func(procID int)) Option {
 	return func(c *config) { c.adoptHook = f }
 }
@@ -495,31 +494,6 @@ func (d *Domain) Retire(procID int, h uint64) {
 	d.deferred.Add(1)
 	obsRetire.Inc(procID)
 }
-
-// RetireOrphan records one occurrence of handle h as retired directly on
-// the orphan pool, on behalf of a processor the caller does not own a
-// Thread for (the adopt hook evacuating an abandoned pid, which has no
-// per-processor rlist it may touch). The next scan adopts it like any
-// other orphan. procID attributes the retire to the processor whose
-// state minted it (observability sharding only).
-func (d *Domain) RetireOrphan(procID int, h uint64) {
-	d.orphanMu.Lock()
-	d.orphans = append(d.orphans, h)
-	d.orphanMu.Unlock()
-	d.retired.Add(1)
-	d.deferred.Add(1)
-	obsRetire.Inc(procID)
-}
-
-// TryReservePid takes procID out of registry circulation if it is
-// currently unregistered (see pid.Registry.TryReserve): the reserver
-// gains a registered owner's exclusivity over the id's stacked
-// per-processor state without attaching a Thread. Pair with
-// UnreservePid.
-func (d *Domain) TryReservePid(procID int) bool { return d.reg.TryReserve(procID) }
-
-// UnreservePid returns an id taken by TryReservePid to circulation.
-func (d *Domain) UnreservePid(procID int) { d.reg.Unreserve(procID) }
 
 // Eject performs a constant number of steps of the incremental ejectAll
 // and, if any handle has become safe, returns one of them. The bool result

@@ -87,18 +87,13 @@ func freeWord(next uint64) uint64 { return stateFree<<blockIdxBits | next }
 type Header struct {
 	// RefCount is the object's reference count. The arena zeroes it on
 	// Alloc; its semantics belong entirely to the scheme using the pool.
-	// The core scheme uses it as the *shared* word of a biased count
-	// (count in the bits above its two flag bits; see DESIGN.md §12).
 	RefCount atomic.Int64
 
-	// Owner is the biased-count owner word (DESIGN.md §12): the owning
-	// pid+1 in the high 32 bits, that pid's local count in the low 32;
-	// 0 means unbiased. It is single-writer — only the thread currently
-	// holding the named pid (or an exclusive reserver/adopter of that
-	// pid) may store to it. Keeping it adjacent to RefCount puts both
-	// halves of one object's count in the same cache line. Zeroed on
-	// Alloc; ignored by schemes that do not bias.
-	Owner atomic.Uint64
+	// The pad keeps the header at 24 bytes, so a counted 40-byte record
+	// (an rcds listNode) and its header fill exactly one 64-byte slot and
+	// every record starts 24 bytes into its line. A 56-byte slot would
+	// change that layout and needs its own measurement.
+	_ uint64
 
 	// WeakCount is a second counter for schemes that support weak
 	// references (the core library's cycle-breaking extension). Zeroed on
@@ -113,9 +108,6 @@ type Header struct {
 func (h *Header) reset() {
 	if h.RefCount.Load() != 0 {
 		h.RefCount.Store(0)
-	}
-	if h.Owner.Load() != 0 {
-		h.Owner.Store(0)
 	}
 	if h.WeakCount.Load() != 0 {
 		h.WeakCount.Store(0)
@@ -250,9 +242,9 @@ type allocator[S any] struct {
 	frees  atomic.Uint64
 	liveHW atomic.Int64 // exact monotone peak of allocs-frees (CAS max-loop)
 
-	// DebugChecks enables use-after-free verification on every Get (and,
-	// on a Pool, a biased-slot check on every Free). Tests turn this on;
-	// benchmarks leave it off. It must be set before the pool is shared.
+	// DebugChecks enables use-after-free verification on every Get. Tests
+	// turn this on; benchmarks leave it off. It must be set before the
+	// pool is shared.
 	DebugChecks bool
 }
 
@@ -573,25 +565,11 @@ func (a *allocator[S]) takeSlot(procID int) (uint64, *S, bool) {
 // magazine; when that magazine completes a full block it is parked as the
 // spare or, if the spare is already full, pushed onto the global block
 // stack in O(1). Free takes no locks. It panics on nil handles and on
-// double frees, and (with DebugChecks) on slots still biased to an owner.
-// The slot is poisoned so that a subsequent checked Get fails, and the
-// value is left in place: readers racing with Free are exactly the
-// read-reclaim races the algorithms under test must prevent, and leaving
-// the stale value visible makes such bugs reproducible rather than
-// silently masked.
-func (p *Pool[T]) Free(procID int, h Handle) {
-	if p.DebugChecks && h.Index() != 0 {
-		// A biased slot must be unbiased (owner word folded and cleared)
-		// before its object can die; freeing one means a count was lost.
-		if ow := p.slotFor(h.Index()).hdr.Owner.Load(); ow != 0 {
-			panic(fmt.Sprintf("arena: free of biased slot %#x (owner word %#x)", uint64(h), ow))
-		}
-	}
-	p.allocator.Free(procID, h)
-}
-
-// Free returns the slot addressed by h to the calling processor's
-// magazines (see Pool.Free).
+// double frees. The slot is poisoned so that a subsequent checked Get
+// fails, and the value is left in place: readers racing with Free are
+// exactly the read-reclaim races the algorithms under test must prevent,
+// and leaving the stale value visible makes such bugs reproducible rather
+// than silently masked.
 func (a *allocator[S]) Free(procID int, h Handle) {
 	idx := h.Index()
 	if idx == 0 {

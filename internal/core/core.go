@@ -18,6 +18,8 @@
 package core
 
 import (
+	"fmt"
+
 	"cdrc/internal/acqret"
 	"cdrc/internal/arena"
 	"cdrc/internal/chaos"
@@ -193,10 +195,6 @@ type Domain[T any] struct {
 	ar    *acqret.Domain
 	cfg   Config[T]
 	procs int
-
-	// inboxes holds one merge inbox per pid (biased.go). An inbox is
-	// open exactly while its pid is registered.
-	inboxes []mergeInbox
 }
 
 // NewDomain creates a Domain with the given configuration.
@@ -219,33 +217,20 @@ func NewDomain[T any](cfg Config[T]) *Domain[T] {
 		// processor's private arena magazines (active and spare) onto the
 		// global block stack before the id can be reissued (the
 		// one-id-space invariant: a reissued id must start with empty
-		// magazines), and close + fold the dead pid's merge inbox so no
-		// queued biased count is stranded: each folded request either
-		// settles the object's count or re-defers its final unit to the
-		// orphan pool (via RetireOrphan, the one re-entrant call the
-		// adopt hook is allowed).
+		// magazines), and reclaim its value plane the same way.
 		acqret.WithAdoptHook(func(procID int) {
 			d.pool.DrainLocal(procID)
 			if vp := d.cfg.ValueSlabs; vp != nil {
 				vp.Adopt(procID)
 			}
-			for _, h := range d.inboxes[procID].take(true) {
-				d.mergeOwned(procID, h, nil)
-			}
 		}))
 	d.pool.DebugChecks = cfg.DebugChecks
-	d.inboxes = make([]mergeInbox, procs)
-	for i := range d.inboxes {
-		d.inboxes[i].closed = true // opened by Attach
-	}
 	return d
 }
 
 // Attach registers the calling worker and returns its Thread.
 func (d *Domain[T]) Attach() *Thread[T] {
-	id := d.ar.Register()
-	d.inboxes[id].open()
-	return &Thread[T]{d: d, pid: id}
+	return &Thread[T]{d: d, pid: d.ar.Register()}
 }
 
 // Live returns the number of currently allocated objects (the "allocated
@@ -279,8 +264,8 @@ func (d *Domain[T]) SetValueSlabs(vp ValuePool) { d.cfg.ValueSlabs = vp }
 // Detach when the worker is done. Not safe for concurrent use.
 type Thread[T any] struct {
 	// Pads keep the single-writer fields below off lines shared with
-	// neighbouring heap objects: a Thread is written on every snapshot
-	// and count touch, so false sharing there shows up per operation.
+	// neighbouring heap objects: a Thread is written on every snapshot,
+	// so false sharing there shows up per operation.
 	_ [64]byte
 
 	d        *Domain[T]
@@ -292,22 +277,6 @@ type Thread[T any] struct {
 	// when the slot is free. Only the owner writes its snapshot slots, so
 	// the mirror is exact and the snapshot paths read no shared word.
 	snapHeld [acqret.SlotsPerProc]arena.Handle
-
-	// rights is the stack of pids this thread currently holds registry
-	// reservations for (biased.go): a merge performed under a
-	// reservation can itself apply decrements that queue merges for the
-	// same pid, and those must fold directly rather than re-reserve.
-	rights []int
-
-	// Count-touch tallies, published to the obs counters by
-	// flushRcTally at drain points (biased.go). Plain single-writer
-	// fields so the per-touch hot paths pay no atomic — not even obs's
-	// disabled nil-load.
-	nBiased uint64
-	nShared uint64
-	nUnbias uint64
-
-	ejectDebt int // merge retires not yet paired with an eject (retireWord)
 
 	_ [64]byte
 }
@@ -328,17 +297,6 @@ func (t *Thread[T]) Detach() {
 		}
 	}
 	t.drainLocal()
-	// Close the merge inbox and fold anything that raced past the drain,
-	// then drain again to apply whatever the folds retired. After the
-	// close no new request can land (push fails on a closed inbox);
-	// later cross-pid notifiers fold on our behalf under a registry
-	// reservation instead. Objects still biased to this pid — their
-	// units parked in shared cells — are inherited by the id's next
-	// holder or folded lazily through that same path.
-	for _, h := range t.d.inboxes[t.pid].take(true) {
-		t.d.mergeOwned(t.pid, h, t)
-	}
-	t.drainLocal()
 	t.d.ar.Unregister(t.pid)
 }
 
@@ -355,7 +313,6 @@ func (t *Thread[T]) Detach() {
 // permanent leak. Crash-style fault injection is therefore restricted to
 // points where the dying thread holds no counted references.
 func (t *Thread[T]) Abandon() {
-	t.flushRcTally()
 	t.d.ar.Abandon(t.pid)
 }
 
@@ -388,21 +345,13 @@ func (t *Thread[T]) ReleaseStraySnapshots() {
 }
 
 // drainLocal synchronously ejects and applies everything currently
-// safe, folding queued merge requests as it goes (a fold can retire a
-// synthetic unit, and an applied decrement can queue a merge, so the
-// loop runs both to a joint fixed point).
+// safe. An applied decrement can destroy an object whose finalizer
+// retires more, so the loop runs to a fixed point.
 func (t *Thread[T]) drainLocal() {
-	defer t.flushRcTally()
 	for {
-		if t.d.inboxes[t.pid].n.Load() != 0 {
-			t.drainMergeInbox()
-		}
 		out := t.d.ar.EjectAllLocal(t.pid)
 		if len(out) == 0 {
-			if t.d.inboxes[t.pid].n.Load() == 0 {
-				return
-			}
-			continue
+			return
 		}
 		for _, w := range out {
 			t.applyEjected(w)
@@ -443,40 +392,24 @@ func (t *Thread[T]) DrainArena() {
 
 // --- internal count plumbing -------------------------------------------
 
-// increment adds one count unit. The owner of the bias updates its
-// local count with a plain load + store on the single-writer owner
-// word; everyone else adds to the shared word (safe blindly: every
-// increment is protected by a held unit or an announcement, so the
-// object cannot die underneath it). See biased.go for the protocol.
+// increment adds one count unit. Safe blindly: every increment is
+// protected by a held unit or an announcement, so the object cannot die
+// underneath it.
 func (t *Thread[T]) increment(h arena.Handle) {
-	hdr := t.d.pool.Hdr(h)
-	if ow := hdr.Owner.Load(); ow != 0 && biasPid(ow) == t.pid {
-		hdr.Owner.Store(ow + 1)
-		t.nBiased++
-		return
-	}
-	hdr.RefCount.Add(1 << rcShift)
-	t.nShared++
+	t.d.pool.Hdr(h).RefCount.Add(1)
 }
 
-// decrement applies one safe-to-apply count unit removal (the handle
-// was ejected, or the domain destructs eagerly). The bias owner pays a
-// load + store while local units remain and unbiases on the last one;
-// other pids go through the shared word (biased.go).
+// decrement applies one safe-to-apply count unit removal (the handle was
+// ejected, or the domain destructs eagerly). The count is exact, so the
+// decrement that reaches zero is the single destruction decision.
 func (t *Thread[T]) decrement(h arena.Handle) {
 	h = h.Unmarked()
-	hdr := t.d.pool.Hdr(h)
-	if ow := hdr.Owner.Load(); ow != 0 && biasPid(ow) == t.pid {
-		t.nBiased++
-		if biasLocal(ow) > 1 {
-			hdr.Owner.Store(ow - 1)
-			return
-		}
-		t.unbiasOnLastLocal(h, hdr)
-		return
+	if c := t.d.pool.Hdr(h).RefCount.Add(-1); c == 0 {
+		chaosDecrementZero.Fire()
+		t.deleteObj(h)
+	} else if c < 0 {
+		panic(fmt.Sprintf("core: reference count of %#x went negative (%d)", uint64(h), c))
 	}
-	t.nShared++
-	t.sharedDecrement(h, hdr)
 }
 
 // deleteObj destroys the object: runs the finalizer (which releases child
@@ -512,26 +445,14 @@ func (t *Thread[T]) retireAndEject(h arena.Handle) {
 }
 
 // retireWord is the one retire path for handles and value-slab refs: it
-// folds queued merges (a merge point), retires w, and runs two
-// eject-and-apply steps plus one per merge retire this pid made since its
-// last retire (DESIGN.md §12, eject accounting). The bound: a merge that
-// folds to zero retires without an inline eject (see mergeOwned). Each
-// such retire is caused by a cross-pid sharedDecrement that drove a
-// biased shared count negative, itself an applied ordinary retire, so
-// merge retires ≤ ordinary retires and two ejects per ordinary retire
-// cover all retires: Theorem 1's O(K·P) bound holds with a constant of 2.
-// Per pid the two need not balance (the merge lands on the owner's list,
-// its cause on another pid's); ejectDebt pays that, and the spare eject
-// drains orphans adopted into the list.
+// retires w and runs two eject-and-apply steps (DESIGN.md §12, eject
+// accounting). An Eject returns at most one handle, so one per retire is
+// the least that keeps a pid's lists from growing; the second drains
+// orphans adopted into them and catches up after ejects that found
+// nothing safe yet. Theorem 1's O(K·P) bound holds with a constant of 2.
 func (t *Thread[T]) retireWord(w uint64) {
-	// One atomic load when the inbox is empty, the common case.
-	if t.d.inboxes[t.pid].n.Load() != 0 {
-		t.drainMergeInbox()
-	}
 	t.d.ar.Retire(t.pid, w)
-	n := 2 + t.ejectDebt
-	t.ejectDebt = 0
-	for ; n > 0; n-- {
+	for n := 0; n < 2; n++ {
 		if e, ok := t.d.ar.Eject(t.pid); ok {
 			t.applyEjected(e)
 		}
@@ -555,8 +476,8 @@ func (t *Thread[T]) ReleaseValue() {
 }
 
 // RetireValue defers the free of a value ref displaced from a published
-// cell. Like a cell overwrite's unit (the §12 overwrite discipline), a
-// displaced ref must go through the pipeline unconditionally: a reader
+// cell. Like a cell overwrite's unit, a displaced ref must go through
+// the pipeline: a reader
 // that announced the word and validated the cell may still be copying
 // slab bytes, and the eject scan honoring its announcement is the only
 // thing keeping the slab from recycling under it. The retire and its
@@ -587,13 +508,10 @@ func (t *Thread[T]) FreeValue(ref uint64) {
 // owning reference together with a pointer for initialization. The object
 // must be fully initialized before its reference is shared. The weak
 // count starts at 1: the unit all strong references collectively hold.
-// The object is born biased to the allocating pid with one local unit
-// (the shared word stays at the zero the arena guarantees), so the
-// shard-affine common case never touches a contended counter.
 func (t *Thread[T]) AllocRc() (RcPtr, *T) {
 	h := t.d.pool.Alloc(t.pid)
 	hdr := t.d.pool.Hdr(h)
-	hdr.Owner.Store(packBias(t.pid, 1))
+	hdr.RefCount.Store(1)
 	hdr.WeakCount.Store(1)
 	return RcPtr{h}, t.d.pool.Get(h)
 }
@@ -619,7 +537,7 @@ func (t *Thread[T]) TryAllocRc() (RcPtr, *T, error) {
 		return NilRcPtr, nil, err
 	}
 	hdr := t.d.pool.Hdr(h)
-	hdr.Owner.Store(packBias(t.pid, 1))
+	hdr.RefCount.Store(1)
 	hdr.WeakCount.Store(1)
 	return RcPtr{h}, t.d.pool.Get(h), nil
 }
@@ -651,15 +569,9 @@ func (t *Thread[T]) DerefSnapshot(s Snapshot) *T {
 }
 
 // RefCount returns the current reference count of p's object
-// (diagnostics; inherently racy): the merged sum of the owner-local and
-// shared words, never a misleading partial value.
+// (diagnostics; inherently racy).
 func (t *Thread[T]) RefCount(p RcPtr) int64 {
-	hdr := t.d.pool.Hdr(p.h)
-	c := sharedCount(hdr.RefCount.Load())
-	if ow := hdr.Owner.Load(); ow != 0 {
-		c += int64(biasLocal(ow))
-	}
-	return c
+	return t.d.pool.Hdr(p.h).RefCount.Load()
 }
 
 // Clone returns a new counted reference to p's object. Safe because the
@@ -684,7 +596,7 @@ func (t *Thread[T]) Release(p RcPtr) {
 		t.decrement(p.h)
 		return
 	}
-	t.releaseOwned(p.h)
+	t.retireAndEject(p.h)
 }
 
 // --- atomic cells ---------------------------------------------------------
@@ -705,18 +617,11 @@ func (t *Thread[T]) Load(a *AtomicRcPtr) RcPtr {
 
 // Store atomically replaces the reference in a with a counted copy of v
 // (Fig. 3 store, copy semantics). The overwritten reference's decrement is
-// deferred via retire_and_eject. O(1) expected steps.
-//
-// Overwrite discipline: the old occupant's unit must retire
-// unconditionally — never the biased inline fast path — in every cell
-// overwrite below (Store, StoreMove, StoreSnapshot, the CAS family). A
-// concurrent Fig. 3 loader that announced and validated the old handle
-// but has not yet incremented is protected only by the retire scan
-// honoring its announcement; it is exactly the cell's unit that backs
-// that protection. Folding it into the owner word inline would let a
-// later release of the owner's remaining units reach the zero decision
-// without consulting announcements and destroy the object under the
-// loader (caught by TestEagerOverwriteReleaseVsLoadWindow).
+// deferred via retire_and_eject, even under EagerDestruct: a concurrent
+// Fig. 3 loader that announced and validated the old handle but has not
+// yet incremented is protected only by the retire scan honoring its
+// announcement (TestEagerOverwriteReleaseVsLoadWindow). The same holds
+// for every cell overwrite below. O(1) expected steps.
 func (t *Thread[T]) Store(a *AtomicRcPtr, v RcPtr) {
 	if !v.IsNil() {
 		// The caller's reference keeps the count positive, so this

@@ -3,11 +3,8 @@ package core
 import "testing"
 
 // BenchmarkCountChurnOwner measures Clone/Release churn performed by the
-// thread that allocated the object — the shard-affine common case the
-// KV service hits on every operation (PR 4 pinned workers to shards, so
-// almost every count touch is by the allocating pid). This is the
-// workload the biased fast path targets; check.sh gates it against the
-// recorded pre-bias seed in results/BENCH_biased.json.
+// thread that allocated the object. Each iteration is one increment and
+// one retire whose two ejects apply a decrement.
 func BenchmarkCountChurnOwner(b *testing.B) {
 	d := NewDomain[node](Config[node]{MaxProcs: 8})
 	th := d.Attach()
@@ -27,9 +24,9 @@ func BenchmarkCountChurnOwner(b *testing.B) {
 }
 
 // BenchmarkCountChurnCross is the same churn performed by a thread that
-// did NOT allocate the object: every touch takes the shared-word path.
-// check.sh gates this within 10% of the recorded seed — the biased
-// layout must not tax cross-thread traffic.
+// did NOT allocate the object. With one count word it takes the same
+// path as BenchmarkCountChurnOwner; the pair shows that the allocating
+// thread gets no special treatment.
 func BenchmarkCountChurnCross(b *testing.B) {
 	d := NewDomain[node](Config[node]{MaxProcs: 8})
 	owner := d.Attach()

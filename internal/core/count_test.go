@@ -10,10 +10,10 @@ import (
 	"cdrc/internal/obs"
 )
 
-// TestRefCountMergedFromNonOwner: RefCount must report the merged
-// (owner-local + shared) count no matter which thread asks, even while
-// the owner's contribution lives only in its private word.
-func TestRefCountMergedFromNonOwner(t *testing.T) {
+// TestRefCountFromNonOwner: RefCount must report the same count no
+// matter which thread asks, whichever thread allocated the object or
+// took the units.
+func TestRefCountFromNonOwner(t *testing.T) {
 	d := newNodeDomain(4)
 	owner := d.Attach()
 	other := d.Attach()
@@ -21,14 +21,14 @@ func TestRefCountMergedFromNonOwner(t *testing.T) {
 
 	p := owner.NewRc(func(n *node) { n.Val = 1 })
 	q1 := owner.Clone(p)
-	q2 := owner.Clone(p) // count 3, all owner-local
+	q2 := owner.Clone(p) // count 3, all taken by the allocating thread
 
 	if got := other.RefCount(p); got != 3 {
-		t.Fatalf("non-owner RefCount of biased object = %d, want 3", got)
+		t.Fatalf("non-owner RefCount = %d, want 3", got)
 	}
-	r := other.Clone(p) // count 4: local 3 + shared 1
+	r := other.Clone(p) // count 4
 	if got, got2 := owner.RefCount(p), other.RefCount(p); got != 4 || got2 != 4 {
-		t.Fatalf("merged RefCount = %d (owner view), %d (other view), want 4", got, got2)
+		t.Fatalf("RefCount = %d (owner view), %d (other view), want 4", got, got2)
 	}
 
 	other.Release(r)
@@ -44,14 +44,14 @@ func TestRefCountMergedFromNonOwner(t *testing.T) {
 	}
 }
 
-// TestCrashWhileBiased: workers crash (chaos.CrashSignal at the
-// snapshot-acquired point, where they hold zero counted references)
-// while objects in shared cells are still biased to their pid. The
-// survivors' cross-pid releases drive shared counts negative and queue
-// merges against the dead pid; adoption must fold and unbias everything
-// before the pid is reissued, with no leak and no double free
-// (DebugChecks panics if a still-biased slot is ever freed).
-func TestCrashWhileBiased(t *testing.T) {
+// TestCrashWhileCellsHoldObjects: workers crash (chaos.CrashSignal at
+// the snapshot-acquired point, where they hold zero counted references)
+// while shared cells still hold objects they allocated, and while their
+// retired lists still hold deferred decrements. The survivors release
+// those objects across pids; adoption must hand the dead pids' lists to
+// the survivors before the pids are reissued, with no leak and no
+// double free (DebugChecks panics on a read of a freed slot).
+func TestCrashWhileCellsHoldObjects(t *testing.T) {
 	const (
 		workers = 6
 		crashes = 3
@@ -92,8 +92,8 @@ func TestCrashWhileBiased(t *testing.T) {
 				c := &cells[(w+i)%len(cells)]
 				switch i % 4 {
 				case 0:
-					// Publish an object biased to this pid: its only
-					// unit sits in the cell while the bias stays ours.
+					// Publish an object this pid allocated: its only
+					// unit sits in the cell.
 					p := th.NewRc(func(n *node) { n.Val = int64(i) })
 					th.Store(c, p)
 					th.Release(p)
@@ -130,7 +130,7 @@ func TestCrashWhileBiased(t *testing.T) {
 	drain(th)
 	th.Detach()
 	if d.Live() != 0 {
-		t.Fatalf("Live = %d at quiescence after %d crashes while biased", d.Live(), fired)
+		t.Fatalf("Live = %d at quiescence after %d crashes", d.Live(), fired)
 	}
 	if d.AbandonedCount() != 0 {
 		t.Fatalf("%d processors still unadopted at quiescence", d.AbandonedCount())
@@ -144,12 +144,13 @@ func TestCrashWhileBiased(t *testing.T) {
 	}
 }
 
-// TestBiasedCrossThreadHammer churns one owner's biased fast path
-// against K non-owner threads cloning, releasing, upgrading and reading
-// the same objects through the shared word. Run under -race this pins
-// down the single-writer discipline of the owner word; the quiescence
-// checks pin down the two-word merge protocol.
-func TestBiasedCrossThreadHammer(t *testing.T) {
+// TestCrossThreadCountHammer churns one owner's Clone/Release on the
+// objects it allocated against K other threads loading, cloning,
+// releasing, snapshotting, reading and replacing the same objects. Run
+// under -race this pins down that every count touch is one atomic word
+// operation; the quiescence check pins down that no unit is lost or
+// doubled.
+func TestCrossThreadCountHammer(t *testing.T) {
 	const (
 		nonOwners = 4
 		objects   = 16
@@ -197,7 +198,7 @@ func TestBiasedCrossThreadHammer(t *testing.T) {
 					p := th.Load(c)
 					if !p.IsNil() {
 						if got := th.RefCount(p); got < 1 {
-							panic("merged RefCount < 1 on a held reference")
+							panic("RefCount < 1 on a held reference")
 						}
 					}
 					th.Release(p)
@@ -209,7 +210,7 @@ func TestBiasedCrossThreadHammer(t *testing.T) {
 			}
 		}(uint64(w + 1))
 	}
-	// The owner churns its biased fast path on objects it allocated.
+	// The owner churns the counts of objects it allocated.
 	for i := 0; i < iters; i++ {
 		c := &cells[i%objects]
 		p := owner.Load(c)
@@ -231,24 +232,23 @@ func TestBiasedCrossThreadHammer(t *testing.T) {
 	}
 }
 
-// TestMergeRetireDebtBounded pins the eject accounting of merge retires
-// (retireWord). An owner pid publishes objects biased to it into cells; a
-// second pid loads, clones and releases them and overwrites the cells, so
-// the final drops land cross-pid and queue merges whose folds retire on
-// the owner's list without an inline eject. Nothing flushes. At every
-// sample the deferred work — the unejected retires plus both pids'
-// retired and ejected-but-unreturned lists (Deferred alone misses the
-// latter) — must stay within a fixed multiple of the two pids' scan
-// thresholds; unpaid merge retires grow it linearly with the op count.
+// TestRetireEjectBounded pins the eject accounting of retireWord: every
+// retire pays two ejects. An owner pid publishes objects into cells; a
+// second pid loads, clones and releases them and overwrites the cells,
+// so the final drops land on a pid other than the allocator. Nothing
+// flushes. At every sample the deferred work — the unejected retires
+// plus both pids' retired and ejected-but-unreturned lists (Deferred
+// alone misses the latter) — must stay within a fixed multiple of the
+// two pids' scan thresholds; a retire path that skips its ejects grows
+// it linearly with the op count.
 //
 // The shapes differ in who balances whom: "replace" has the second pid
-// publish its own objects (merges flow both ways), "empty" leaves the
+// publish its own objects (retires flow both ways), "empty" leaves the
 // owner retiring only when it overwrites its own objects, and
 // "owner-rarely-retires" makes the owner a producer that fills empty
-// cells and overwrites one only every 32nd turn, so its merge retires
-// far outnumber its own retires — the per-pid imbalance a flat
-// ejects-per-retire count cannot cover.
-func TestMergeRetireDebtBounded(t *testing.T) {
+// cells and overwrites one only every 32nd turn, so nearly every retire
+// lands on the second pid.
+func TestRetireEjectBounded(t *testing.T) {
 	const (
 		cells  = 64
 		ops    = 200_000
@@ -273,7 +273,7 @@ func TestMergeRetireDebtBounded(t *testing.T) {
 					}
 				case i%2 == 0:
 					p := owner.NewRc(func(n *node) { n.Val = int64(i) })
-					owner.Store(c, p) // the cell's unit is owner-local
+					owner.Store(c, p)
 					owner.Release(p)
 				default:
 					p := other.Load(c)
@@ -307,80 +307,14 @@ func TestMergeRetireDebtBounded(t *testing.T) {
 	}
 }
 
-// TestObsBiasedSharedIdentity runs a deterministic workload and checks
-// the counter identities stated in biased.go: every applied count touch
-// is exactly one of biased/shared, every lifetime unbiases exactly once
-// (unbias == arena.alloc), and merges never exceed unbiases.
-func TestObsBiasedSharedIdentity(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	obs.Reset()
-
-	const objects = 50
-	d := newNodeDomain(4)
-	owner := d.Attach()
-	other := d.Attach()
-
-	// Owner-only churn: per object 2 clones (+2 biased), 2 inline
-	// releases (+2 biased), final release deferred then applied on the
-	// owner (+1 biased, +1 unbias). No shared touches.
-	for i := 0; i < objects; i++ {
-		p := owner.NewRc(func(n *node) { n.Val = int64(i) })
-		q1 := owner.Clone(p)
-		q2 := owner.Clone(p)
-		owner.Release(q1)
-		owner.Release(q2)
-		owner.Release(p)
-	}
-	drain(owner)
-
-	r := obs.Snapshot()
-	if got, want := r.Counter("core.rc.biased"), int64(5*objects); got != want {
-		t.Fatalf("core.rc.biased = %d after owner-only churn, want %d", got, want)
-	}
-	if got := r.Counter("core.rc.shared"); got != 0 {
-		t.Fatalf("core.rc.shared = %d after owner-only churn, want 0", got)
-	}
-
-	// Cross-pid traffic: the other thread clones and releases each
-	// object once (+1 shared inc, +1 shared dec application).
-	for i := 0; i < objects; i++ {
-		p := owner.NewRc(func(n *node) { n.Val = int64(i) })
-		q := other.Clone(p)
-		other.Release(q)
-		drain(other)
-		owner.Release(p)
-	}
-	drain(owner)
-	drain(other)
-
-	other.Detach()
-	owner.Detach()
-	if live := d.Live(); live != 0 {
-		t.Fatalf("Live = %d at quiescence", live)
-	}
-
-	r = obs.Snapshot()
-	if got, want := r.Counter("core.rc.shared"), int64(2*objects); got != want {
-		t.Fatalf("core.rc.shared = %d, want %d", got, want)
-	}
-	if got, want := r.Counter("core.rc.unbias"), r.Counter("arena.alloc"); got != want {
-		t.Fatalf("core.rc.unbias = %d, arena.alloc = %d: every lifetime must unbias exactly once", got, want)
-	}
-	if m, u := r.Counter("core.rc.merge"), r.Counter("core.rc.unbias"); m > u {
-		t.Fatalf("core.rc.merge = %d exceeds core.rc.unbias = %d", m, u)
-	}
-}
-
 // TestEagerOverwriteReleaseVsLoadWindow pins the cell-overwrite release
 // discipline: units released by overwriting an atomic cell must always go
-// through retire/eject, never through the inline owner fast path, even
-// when the owner has further local units. A Fig. 3 loader that has
-// announced and validated a handle but not yet incremented is protected
-// only by the retire scan honoring its announcement; if the cell's unit
-// is instead consumed by a plain owner-word store, a subsequent eager
-// release of the owner's remaining unit reaches the zero decision without
-// ever consulting announcements and destroys the object under the loader.
+// through retire/eject, even in an EagerDestruct domain. A Fig. 3 loader
+// that has announced and validated a handle but not yet incremented is
+// protected only by the retire scan honoring its announcement; if the
+// cell's unit were instead dropped inline, the eager release of the
+// owner's remaining unit would reach the zero decision without ever
+// consulting announcements and destroy the object under the loader.
 //
 // The chaos schedule makes the race deterministic enough to catch on one
 // CPU: loaders stall inside the acquire→increment window while the owner
@@ -440,11 +374,11 @@ func TestEagerOverwriteReleaseVsLoadWindow(t *testing.T) {
 	owner := d.Attach()
 	for i := 0; i < 2500; i++ {
 		p := owner.NewRc(func(v *uint64) { *v = uint64(i)*2 + 1 })
-		owner.Store(&cell, p) // cell holds its own unit (local=2)
+		owner.Store(&cell, p) // cell holds its own unit (count 2)
 		// Let a loader validate the published handle and park in its
 		// acquire→increment window before the owner takes it back down.
 		runtime.Gosched()
-		owner.StoreMove(&cell, NilRcPtr) // overwrite: must retire, not fold
+		owner.StoreMove(&cell, NilRcPtr) // overwrite: must retire
 		owner.Release(p)                 // eager: owner's last unit
 	}
 	close(stop)

@@ -93,25 +93,19 @@ func (t *Thread[T]) ReleaseWeak(w WeakPtr) {
 }
 
 // Upgrade mints a strong reference from a weak one, or returns the nil
-// RcPtr if the object has been destroyed. The sticky CAS loop refuses to
-// move the count off zero. Under biased counts (biased.go) "destroyed"
-// means the shared word reads zero with the unbiased flag set: a biased
-// object is never dead (its owner holds at least one local unit, or a
-// fold is in flight that will count this upgrade), so the unit is
-// always added to the shared word — an upgrade is cross-thread traffic
-// by nature.
+// RcPtr if the object has been destroyed (its count reads zero). The
+// sticky CAS loop refuses to move the count off zero.
 func (t *Thread[T]) Upgrade(w WeakPtr) RcPtr {
 	if w.IsNil() {
 		return NilRcPtr
 	}
 	hdr := t.d.pool.Hdr(w.h)
 	for {
-		v := hdr.RefCount.Load()
-		if v&rcUnbiased != 0 && sharedCount(v) == 0 {
+		c := hdr.RefCount.Load()
+		if c == 0 {
 			return NilRcPtr
 		}
-		if hdr.RefCount.CompareAndSwap(v, v+1<<rcShift) {
-			t.nShared++
+		if hdr.RefCount.CompareAndSwap(c, c+1) {
 			return RcPtr{w.h}
 		}
 	}
@@ -135,6 +129,5 @@ func (t *Thread[T]) Expired(w WeakPtr) bool {
 	if w.IsNil() {
 		return true
 	}
-	v := t.d.pool.Hdr(w.h).RefCount.Load()
-	return v&rcUnbiased != 0 && sharedCount(v) == 0
+	return t.d.pool.Hdr(w.h).RefCount.Load() == 0
 }

@@ -163,24 +163,32 @@ func TestQueueMemoryBounded(t *testing.T) {
 // An idle handle must not pin the queue. Its last operation, a Dequeue
 // of an empty queue, only read the dummy; once it returns nothing of its
 // stays announced, so the nodes another handle dequeues afterwards (each
-// linked to the next) are reclaimed while it stays attached. busy
-// attaches first so that it, not the idle handle, owns the first dummy's
-// biased count, whose merges would otherwise wait in the idle pid's inbox.
+// linked to the next) are reclaimed while it stays attached. Attach
+// order must not matter: the idle handle may or may not be the one that
+// allocated the first dummy.
 func TestQueueIdleHandleDoesNotPin(t *testing.T) {
-	q := NewQueue(3)
-	busy := q.Attach()
-	idle := q.Attach()
-	if _, ok := idle.Dequeue(); ok {
-		t.Fatal("dequeued from an empty queue")
+	for _, order := range []string{"busy-first", "idle-first"} {
+		t.Run(order, func(t *testing.T) {
+			q := NewQueue(3)
+			var busy, idle *QueueThread
+			if order == "busy-first" {
+				busy, idle = q.Attach(), q.Attach()
+			} else {
+				idle, busy = q.Attach(), q.Attach()
+			}
+			if _, ok := idle.Dequeue(); ok {
+				t.Fatal("dequeued from an empty queue")
+			}
+			for i := uint64(0); i < 10000; i++ {
+				busy.Enqueue(i)
+				busy.Dequeue()
+			}
+			busy.th.Flush()
+			if live := q.LiveNodes(); live != 1 {
+				t.Fatalf("LiveNodes = %d with an idle handle attached, want 1 (the dummy)", live)
+			}
+			idle.Detach()
+			busy.Detach()
+		})
 	}
-	for i := uint64(0); i < 10000; i++ {
-		busy.Enqueue(i)
-		busy.Dequeue()
-	}
-	busy.th.Flush()
-	if live := q.LiveNodes(); live != 1 {
-		t.Fatalf("LiveNodes = %d with an idle handle attached, want 1 (the dummy)", live)
-	}
-	idle.Detach()
-	busy.Detach()
 }

@@ -30,7 +30,6 @@ type Registry struct {
 	cap       int
 	inUse     int
 	abandoned map[int]bool // ids whose owner died without Release
-	reserved  map[int]bool // ids held out of circulation by TryReserve
 }
 
 // NewRegistry returns a registry that can have at most maxProcs ids
@@ -112,42 +111,6 @@ func (r *Registry) Release(id int) {
 	}
 	r.free = append(r.free, id)
 	r.inUse--
-}
-
-// TryReserve takes id out of circulation if and only if it is currently
-// unowned (on the free stack: previously released, neither registered,
-// abandoned, nor already reserved). While reserved the id cannot be
-// handed out by Register, so the reserver holds the same exclusivity
-// over the id's per-processor state that a registered owner would —
-// the biased-count layer uses this to fold a detached pid's owner words
-// on its behalf. Pair with Unreserve.
-func (r *Registry) TryReserve(id int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i, f := range r.free {
-		if f != id {
-			continue
-		}
-		r.free = append(r.free[:i], r.free[i+1:]...)
-		if r.reserved == nil {
-			r.reserved = make(map[int]bool)
-		}
-		r.reserved[id] = true
-		return true
-	}
-	return false
-}
-
-// Unreserve returns an id taken by TryReserve to the free stack.
-// Unreserving an id that is not currently reserved panics.
-func (r *Registry) Unreserve(id int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.reserved[id] {
-		panic(fmt.Sprintf("pid: unreserve of non-reserved id %d", id))
-	}
-	delete(r.reserved, id)
-	r.free = append(r.free, id)
 }
 
 // Abandon marks a registered id as abandoned: its owner died (or was
