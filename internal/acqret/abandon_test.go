@@ -1,6 +1,8 @@
 package acqret
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -57,11 +59,15 @@ func TestAbandonedRetiredListAdoptedBySurvivors(t *testing.T) {
 		d.Retire(crashed, h*8)
 	}
 	// Pull one handle onto the dead processor's flist so adoption has to
-	// re-defer already-ejected entries too.
-	d.procs[crashed].flist = append(d.procs[crashed].flist, d.procs[crashed].rlist[0])
-	d.procs[crashed].rlist = d.procs[crashed].rlist[1:]
-	d.deferred.Add(-1)
-	d.ejected.Add(1)
+	// re-defer already-ejected entries too. This is a scan's classify
+	// step, counted on the classifying processor as scanSteps counts it.
+	p := &d.procs[crashed]
+	p.flist = append(p.flist, p.rlist[0])
+	p.rlist = p.rlist[1:]
+	p.ejected.Add(1)
+	if got := d.Deferred(); got != 9 {
+		t.Fatalf("Deferred = %d with one of ten retires classified, want 9", got)
+	}
 
 	d.Abandon(crashed)
 
@@ -152,4 +158,99 @@ func TestAbandonWithActiveScanDiscardsCleanly(t *testing.T) {
 		t.Fatalf("Deferred = %d at quiescence", d.Deferred())
 	}
 	d.Unregister(survivor)
+}
+
+// TestDeferredSumsExactAcrossUnregisterAndAdoption: retire and eject
+// counts live on the processor that made the call, so a handle retired on
+// one processor and ejected on another (an orphan) leaves both counters
+// wrong alone. Four processors retire and eject at once; one Unregisters
+// mid-run with handles still on its lists, and one dies and is abandoned
+// and then adopted by the survivors' scans. At quiescence the sums must be
+// exact: Deferred is 0 and Stats reports retired == ejected == every
+// Retire call made, while some single processor reads negative.
+func TestDeferredSumsExactAcrossUnregisterAndAdoption(t *testing.T) {
+	const ops = 20000
+	const left = 5 // retires a leaving processor takes away unejected
+	d := New(4, WithScanThreshold(1))
+	var src atomic.Uint64
+	src.Store(0x7770)
+	var retires atomic.Int64
+	var stop atomic.Bool
+
+	// work retires ops distinct handles, each followed by two ejects, with
+	// an acquire on the shared cell around every retire so scans see live
+	// announcements; then it retires `left` more that nothing ejects.
+	work := func(pid int, n int) {
+		for i := 0; i < n || (n < 0 && !stop.Load()); i++ {
+			d.Acquire(pid, 0, &src)
+			d.Retire(pid, uint64(pid)<<40|uint64(i+1)<<3)
+			retires.Add(1)
+			d.Eject(pid)
+			d.Eject(pid)
+			d.Release(pid, 0)
+		}
+		for i := 0; i < left; i++ {
+			d.Retire(pid, uint64(pid)<<40|uint64(1)<<39|uint64(i+1)<<3)
+			retires.Add(1)
+		}
+	}
+
+	survivors := []int{d.Register(), d.Register()}
+	leaver, crashed := d.Register(), d.Register()
+	var wg sync.WaitGroup
+	for _, pid := range survivors {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(pid, -1)
+		}()
+	}
+	var gone sync.WaitGroup
+	gone.Add(2)
+	go func() {
+		defer gone.Done()
+		work(leaver, ops)
+		d.Unregister(leaver)
+	}()
+	go func() {
+		defer gone.Done()
+		work(crashed, ops) // then dies without Unregister
+	}()
+	gone.Wait()
+	d.Abandon(crashed)
+	// Let the survivors' scans adopt the dead processor and the orphans
+	// before they stop.
+	for d.AbandonedCount() != 0 {
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	// Nothing is announced any more, so a full scan ejects everything on
+	// a survivor's lists, adopted orphans included.
+	for _, pid := range survivors {
+		d.EjectAllLocal(pid)
+		if n := d.PendingLocal(pid); n != 0 {
+			t.Fatalf("pid %d still holds %d handles after a full scan with nothing announced", pid, n)
+		}
+	}
+	for _, pid := range survivors {
+		d.Unregister(pid)
+	}
+	if got := d.Deferred(); got != 0 {
+		t.Fatalf("Deferred = %d at quiescence, want 0", got)
+	}
+	retired, ejected := d.Stats()
+	if want := uint64(retires.Load()); retired != want || ejected != want {
+		t.Fatalf("Stats = (retired %d, ejected %d), want both %d", retired, ejected, want)
+	}
+	negative := false
+	for i := range d.procs {
+		if d.procs[i].retired.Load() < d.procs[i].ejected.Load() {
+			negative = true
+		}
+	}
+	if !negative {
+		t.Fatal("no processor ejected more than it retired: the orphans were never adopted across processors")
+	}
 }

@@ -55,8 +55,9 @@ var (
 )
 
 // Observability metrics (inert single atomic loads unless obs.Enable has
-// armed them). The eject counter mirrors d.ejected exactly, including the
-// negative re-defer adjustments of Unregister and reapAbandoned, so
+// armed them). The eject counter mirrors the per-processor ejected
+// counters exactly, including the negative re-defer adjustments of
+// Unregister and reapAbandoned, so
 // acqret.retire == acqret.eject holds at quiescence even across simulated
 // crashes.
 var (
@@ -160,8 +161,10 @@ func WithScanThreshold(mult int) Option {
 }
 
 // procState is the per-processor private state: retired list, free list,
-// and the incremental scan. Only the owning processor touches it (orphan
-// adoption happens under the domain's orphan mutex).
+// the incremental scan, and the processor's retire and eject counters.
+// Only the owning processor touches it (orphan adoption happens under the
+// domain's orphan mutex, and an abandoned processor's state is edited only
+// by its single adopter).
 type procState struct {
 	rlist []uint64 // retired, not yet ejected
 	flist []uint64 // ejected, not yet returned by Eject
@@ -174,6 +177,18 @@ type procState struct {
 	scanBound  int      // rlist prefix under scan
 	scanKeep   []uint64 // protected handles retained for the next scan
 	scanSpare  []uint64 // recycled backing for the post-scan rlist rebuild
+
+	// retired counts this processor's Retire calls and ejected the
+	// handles its scans classified safe, less the free-list entries
+	// Unregister or adoption re-deferred to the orphan pool. One
+	// goroutine writes them at a time (the owner, or the single adopter
+	// of a dead processor), so the per-operation paths bump them with a
+	// plain load and store; they are atomic only so that Deferred and
+	// Stats can sum them from other goroutines. A processor that ejects
+	// adopted orphans reads ejected > retired, so only the sums mean
+	// anything.
+	retired atomic.Int64
+	ejected atomic.Int64
 
 	_ [64]byte // avoid false sharing between adjacent processors
 }
@@ -210,10 +225,6 @@ type Domain struct {
 	reapMu     sync.Mutex
 	adoptHook  func(procID int)
 	adopted    atomic.Uint64
-
-	deferred atomic.Int64 // retired and not yet ejected (including orphans)
-	ejected  atomic.Uint64
-	retired  atomic.Uint64
 }
 
 type paddedWord struct {
@@ -279,9 +290,8 @@ func (d *Domain) Unregister(procID int) {
 	d.abandonScan(p)
 	pending := append(p.rlist, p.flist...)
 	// flist entries were already counted as ejected; re-defer them.
-	d.deferred.Add(int64(len(p.flist)))
-	d.ejected.Add(^uint64(len(p.flist) - 1))
 	if n := len(p.flist); n > 0 {
+		p.ejected.Add(-int64(n))
 		obsEject.Sub(procID, uint64(n))
 	}
 	p.rlist = nil
@@ -344,8 +354,7 @@ func (d *Domain) reapAbandoned() {
 		pending := append(dead.rlist, dead.flist...)
 		// flist entries were already counted as ejected; re-defer them.
 		if n := len(dead.flist); n > 0 {
-			d.deferred.Add(int64(n))
-			d.ejected.Add(^uint64(n - 1))
+			dead.ejected.Add(-int64(n))
 			obsEject.Sub(id, uint64(n))
 		}
 		dead.rlist, dead.flist, dead.scanSpare = nil, nil, nil
@@ -490,8 +499,7 @@ func (d *Domain) Retire(procID int, h uint64) {
 	chaosRetire.Fire()
 	p := &d.procs[procID]
 	p.rlist = append(p.rlist, h)
-	d.retired.Add(1)
-	d.deferred.Add(1)
+	p.retired.Store(p.retired.Load() + 1)
 	obsRetire.Inc(procID)
 }
 
@@ -555,8 +563,7 @@ func (d *Domain) scanSteps(procID int, p *procState, budget int) {
 				p.scanKeep = append(p.scanKeep, h)
 			} else {
 				p.flist = append(p.flist, h)
-				d.deferred.Add(-1)
-				d.ejected.Add(1)
+				p.ejected.Store(p.ejected.Load() + 1)
 				obsEject.Inc(procID)
 			}
 			p.scanRIdx++
@@ -636,9 +643,8 @@ func (d *Domain) EjectAllLocal(procID int) []uint64 {
 	}
 	p.rlist = keep
 	p.plist.Reset()
-	d.deferred.Add(-int64(len(out)))
-	d.ejected.Add(uint64(len(out)))
 	if len(out) > 0 {
+		p.ejected.Add(int64(len(out)))
 		obsEject.Add(procID, uint64(len(out)))
 	}
 	// Drain the flist too: callers of EjectAllLocal want everything.
@@ -659,9 +665,29 @@ func (d *Domain) PendingLocal(procID int) int {
 // handles a scan has already classified safe that no Eject call has
 // returned yet (the free lists; see PendingLocal): those count as
 // ejected here, although their caller has not applied them.
-func (d *Domain) Deferred() int64 { return d.deferred.Load() }
+//
+// It is Σ(retired − ejected) over every processor id ever handed out,
+// O(P) loads. A handle retired on one processor and ejected on another
+// (an orphan) makes neither term exact alone, only the sum. Under
+// concurrent traffic each word is read once, so the sum can be off by the
+// operations in flight; at quiescence it is exact.
+func (d *Domain) Deferred() int64 {
+	retired, ejected := d.sums()
+	return retired - ejected
+}
 
-// Stats returns cumulative retire/eject counters.
+// Stats returns cumulative retire/eject counters, summed over processors
+// like Deferred.
 func (d *Domain) Stats() (retired, ejected uint64) {
-	return d.retired.Load(), d.ejected.Load()
+	r, e := d.sums()
+	return uint64(r), uint64(e)
+}
+
+// sums adds up the per-processor retire and eject counters.
+func (d *Domain) sums() (retired, ejected int64) {
+	for i := range d.reg.HighWater() {
+		retired += d.procs[i].retired.Load()
+		ejected += d.procs[i].ejected.Load()
+	}
+	return retired, ejected
 }

@@ -219,36 +219,51 @@ func TestCappedPoolLastBlockFirstAsker(t *testing.T) {
 	}
 }
 
-// TestLiveHighWaterExactUnderConcurrency: with the CAS max-loop the peak
-// is exact, not a lower bound. All workers hold their slots across a
-// barrier, so the true peak is exactly procs*hold, and the last allocation
-// to land must have recorded it.
-func TestLiveHighWaterExactUnderConcurrency(t *testing.T) {
-	const procs = 8
-	const hold = 50
-	for round := 0; round < 20; round++ {
-		p := NewPool[uint64](procs)
-		var held sync.WaitGroup
-		held.Add(procs)
-		var wg sync.WaitGroup
-		for w := 0; w < procs; w++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				hs := make([]Handle, hold)
-				for i := range hs {
-					hs[i] = p.Alloc(id)
-				}
-				held.Done()
-				held.Wait() // every worker holds `hold` slots right now
-				for _, h := range hs {
-					p.Free(id, h)
-				}
-			}(w)
-		}
-		wg.Wait()
-		if got := p.Stats().LiveHighWater; got != procs*hold {
-			t.Fatalf("round %d: LiveHighWater = %d, want exactly %d", round, got, procs*hold)
-		}
+// TestCrossProcChurnCountsExact: allocation and free counts live on the
+// processor that made the call, so a slot allocated on one processor and
+// freed on another is counted on both sides. Summed over every processor
+// the totals must still be exact: each producer allocates on its own pid
+// and hands the slots to a consumer that frees them on another, and after
+// every magazine is drained Allocs == Frees == the total and Live is 0.
+func TestCrossProcChurnCountsExact(t *testing.T) {
+	const pairs = 4
+	const perPair = 20000
+	p := NewPool[uint64](2 * pairs)
+	p.DebugChecks = true
+	var wg sync.WaitGroup
+	for i := 0; i < pairs; i++ {
+		// Two blocks of slack let the producer run ahead, so frees land
+		// on the consumer in whole blocks and slots cross processors in
+		// both directions through the global stack.
+		ch := make(chan Handle, 2*blockSize)
+		wg.Add(2)
+		go func(id int) {
+			defer wg.Done()
+			for n := 0; n < perPair; n++ {
+				ch <- p.Alloc(id)
+			}
+			close(ch)
+		}(2 * i)
+		go func(id int) {
+			defer wg.Done()
+			for h := range ch {
+				p.Free(id, h)
+			}
+		}(2*i + 1)
+	}
+	wg.Wait()
+	for id := 0; id < 2*pairs; id++ {
+		p.DrainLocal(id)
+	}
+	st := p.Stats()
+	if st.Allocs != pairs*perPair || st.Frees != pairs*perPair {
+		t.Fatalf("Allocs = %d, Frees = %d, want both %d", st.Allocs, st.Frees, pairs*perPair)
+	}
+	if live := p.Live(); live != 0 || st.Live != 0 {
+		t.Fatalf("Live() = %d, Stats().Live = %d at quiescence, want 0", live, st.Live)
+	}
+	if st.FreeLocal != 0 || int64(st.FreeGlobal) != int64(st.Slots) {
+		t.Fatalf("after draining every pid: FreeLocal = %d, FreeGlobal = %d, Slots = %d",
+			st.FreeLocal, st.FreeGlobal, st.Slots)
 	}
 }

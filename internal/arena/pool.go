@@ -169,12 +169,19 @@ type magazine struct {
 // the shared stack. Both magazines are touched only by the owning
 // processor (or by the single adopter draining an abandoned one); n mirrors
 // their summed occupancy atomically so Stats can observe it from other
-// goroutines. The pad defeats false sharing.
+// goroutines. allocs and frees count this processor's Alloc and Free calls
+// (a Free counts on the freeing processor, not on the one that allocated
+// the slot). Only the owner writes them, with a plain load and store rather
+// than a locked add, so no allocation or free writes a line another
+// processor writes; they are atomic only so Stats can sum them. The pad
+// defeats false sharing.
 type procCache struct {
 	active magazine
 	spare  magazine
 	n      atomic.Int64
-	_      [128 - 48]byte
+	allocs atomic.Uint64
+	frees  atomic.Uint64
+	_      [128 - 56]byte
 }
 
 // Stats is a snapshot of a pool's allocation counters.
@@ -183,11 +190,6 @@ type Stats struct {
 	Frees  uint64 // total Free calls
 	Live   int64  // Allocs - Frees
 	Slots  uint64 // slots ever carved out of chunks (handed to the free lists)
-
-	// LiveHighWater is the largest Live value observed by any allocation.
-	// It is maintained with a CAS max-loop, so it is exact even under
-	// concurrent allocation.
-	LiveHighWater int64
 
 	// Capacity is the configured slot cap (0 = unbounded).
 	Capacity uint64
@@ -237,10 +239,6 @@ type allocator[S any] struct {
 	// derived from the slot size (chunkShiftFor). Immutable after init.
 	chunkShift uint
 	chunkMask  uint64
-
-	allocs atomic.Uint64
-	frees  atomic.Uint64
-	liveHW atomic.Int64 // exact monotone peak of allocs-frees (CAS max-loop)
 
 	// DebugChecks enables use-after-free verification on every Get. Tests
 	// turn this on; benchmarks leave it off. It must be set before the
@@ -323,8 +321,7 @@ func (a *allocator[S]) init(opts PoolOpts) {
 		st := q.Stats()
 		return obs.PoolGauges{
 			Allocs: st.Allocs, Frees: st.Frees, Live: st.Live, Slots: st.Slots,
-			LiveHighWater: st.LiveHighWater, Capacity: st.Capacity,
-			FreeLocal: st.FreeLocal, FreeGlobal: st.FreeGlobal,
+			Capacity: st.Capacity, FreeLocal: st.FreeLocal, FreeGlobal: st.FreeGlobal,
 		}, true
 	})
 }
@@ -550,13 +547,7 @@ func (a *allocator[S]) takeSlot(procID int) (uint64, *S, bool) {
 	}
 	m.link.Store(liveWord)
 
-	live := int64(a.allocs.Add(1)) - int64(a.frees.Load())
-	for {
-		cur := a.liveHW.Load()
-		if live <= cur || a.liveHW.CompareAndSwap(cur, live) {
-			break
-		}
-	}
+	pc.allocs.Store(pc.allocs.Load() + 1)
 	obsAlloc.Inc(procID)
 	return idx, &c.slots[off], true
 }
@@ -581,7 +572,7 @@ func (a *allocator[S]) Free(procID int, h Handle) {
 	if !m.link.CompareAndSwap(liveWord, freeWord(pc.active.head)) {
 		panic(fmt.Sprintf("arena: double free of handle %#x (state %#x)", uint64(h), m.link.Load()>>blockIdxBits))
 	}
-	a.frees.Add(1)
+	pc.frees.Store(pc.frees.Load() + 1)
 	obsFree.Inc(procID)
 
 	pc.active.head = idx
@@ -780,14 +771,26 @@ func (a *allocator[S]) FreeListLen(procID int) int {
 	return int(a.local[procID].n.Load())
 }
 
-// Stats returns a snapshot of the pool's counters. Live and the occupancy
-// gauges can transiently disagree with a concurrent workload's own
-// accounting (a block in flight between a magazine and the global stack is
-// briefly counted in neither) but are exact at quiescence. Stats performs
-// no allocation: the obs pool gauges call it on every snapshot interval.
+// counts sums every processor's Alloc and Free counters. Each word is
+// read once, so the sums can be mid-flight under concurrent traffic (a
+// processor's Free may be counted before the Alloc of the same slot on
+// another), but they are exact at quiescence.
+func (a *allocator[S]) counts() (allocs, frees uint64) {
+	for i := range a.local {
+		allocs += a.local[i].allocs.Load()
+		frees += a.local[i].frees.Load()
+	}
+	return allocs, frees
+}
+
+// Stats returns a snapshot of the pool's counters, summed over the
+// per-processor caches. Live and the occupancy gauges can transiently
+// disagree with a concurrent workload's own accounting (a block in flight
+// between a magazine and the global stack is briefly counted in neither)
+// but are exact at quiescence. Stats performs no allocation: the obs pool
+// gauges call it on every snapshot interval.
 func (a *allocator[S]) Stats() Stats {
-	al := a.allocs.Load()
-	f := a.frees.Load()
+	al, f := a.counts()
 	local := 0
 	for i := range a.local {
 		local += int(a.local[i].n.Load())
@@ -797,14 +800,13 @@ func (a *allocator[S]) Stats() Stats {
 	capSlots := a.capSlots
 	a.growMu.Unlock()
 	return Stats{
-		Allocs:        al,
-		Frees:         f,
-		Live:          int64(al) - int64(f),
-		Slots:         slots,
-		LiveHighWater: a.liveHW.Load(),
-		Capacity:      capSlots,
-		FreeLocal:     local,
-		FreeGlobal:    int(a.blocksN.Load()),
+		Allocs:     al,
+		Frees:      f,
+		Live:       int64(al) - int64(f),
+		Slots:      slots,
+		Capacity:   capSlots,
+		FreeLocal:  local,
+		FreeGlobal: int(a.blocksN.Load()),
 	}
 }
 
@@ -819,7 +821,9 @@ func (a *allocator[S]) FreeLocalPerProc() []int {
 	return out
 }
 
-// Live returns the number of currently allocated objects.
+// Live returns the number of currently allocated objects: the summed
+// allocations less the summed frees, O(maxProcs), exact at quiescence.
 func (a *allocator[S]) Live() int64 {
-	return int64(a.allocs.Load()) - int64(a.frees.Load())
+	al, f := a.counts()
+	return int64(al) - int64(f)
 }

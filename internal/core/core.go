@@ -689,6 +689,29 @@ func (t *Thread[T]) CompareAndSwapMove(a *AtomicRcPtr, expected, desired RcPtr) 
 	return false
 }
 
+// CompareAndSwapLinked is CompareAndSwapMove for a prepend: desired's
+// object holds a link cell, still unpublished, whose word the caller has
+// set to exactly expected's (LoadRaw-equal, marks included) without
+// taking a count for it. On success the cell a's unit for expected moves
+// into link instead of being retired: the expected object's count is
+// never touched, which saves the caller the increment that a counted
+// link would need and this call the retire and its deferred decrement.
+// A loader mid acquire→increment on expected stays safe, because the
+// unit it relies on is never released, only moved. On failure the link
+// holds an uncounted word, so it is cleared here before returning; the
+// caller still owns desired, and releasing it releases a nil link.
+func (t *Thread[T]) CompareAndSwapLinked(a *AtomicRcPtr, expected, desired RcPtr, link *AtomicRcPtr) bool {
+	if t.d.pool.DebugChecks && link.w.Load() != uint64(expected.h) {
+		panic(fmt.Sprintf("core: CompareAndSwapLinked link holds %#x, want the expected %#x",
+			link.w.Load(), uint64(expected.h)))
+	}
+	if a.w.CompareAndSwap(uint64(expected.h), uint64(desired.h)) {
+		return true
+	}
+	link.w.Store(0)
+	return false
+}
+
 // CompareExchange is the compare_exchange_weak analogue: on failure it
 // releases *expected and replaces it with a counted copy of the current
 // reference, returning false. On success it behaves like CompareAndSwap.

@@ -440,20 +440,20 @@ func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 		}
 		var headRef uint64
 		headTomb := true
-		var headOwned core.RcPtr
 		if !hs.IsNil() {
 			// The head decides existed, so stamp it first (see
 			// resolveHeadB).
 			hc := th.DerefSnapshot(hs)
 			headTomb = t.stampWord(hc)&versTombFlag != 0
 			headRef = atomic.LoadUint64(&hc.Val)
-			headOwned = th.RcFromSnapshot(hs)
 		}
+		// The link is uncounted until prepend moves the entry's unit
+		// into it.
 		init := func(nd *listNode) {
 			nd.Key = versPending
 			atomic.StoreUint64(&nd.Val, ref)
 			atomic.StoreUint64(&nd.Exp, 0) // recycled slots carry arena poison
-			nd.next.Init(headOwned)
+			nd.next.Init(hs.Ptr())
 			nd.Vers.Init(core.NilRcPtr)
 		}
 		cell, aerr := th.TryNewRc(init)
@@ -461,18 +461,17 @@ func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 			th.Flush()
 			if cell, aerr = th.TryNewRc(init); aerr != nil {
 				obsAllocDrop.Inc(th.ProcID())
-				th.Release(headOwned)
 				th.ReleaseSnapshot(&hs)
 				t.releasePos(&pos)
 				t.dropRef(ref)
 				return dst, false, aerr
 			}
 		}
-		if !th.CompareAndSwapMove(&e.Vers, hs.Ptr(), cell) {
+		if !t.prepend(e, hs.Ptr(), cell) {
 			// Unpublished cell: strip its Val so the finalizer leaves our
-			// parked ref alone for the retry.
+			// parked ref alone for the retry (prepend cleared its link).
 			atomic.StoreUint64(&th.Deref(cell).Val, 0)
-			th.Release(cell) // finalizer releases headOwned
+			th.Release(cell)
 			th.ReleaseSnapshot(&hs)
 			t.releasePos(&pos)
 			continue

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"cdrc/internal/chaos"
 	"cdrc/internal/core"
 )
 
@@ -41,6 +42,26 @@ import (
 // discipline no matter how many keys one service request touches —
 // that is the whole point: the lease replaces "hold snapshots for the
 // duration of a multi-shard read" with "hold a timestamp".
+
+// chaosPrependCAS sits just before a writer's prepend CAS on an entry's
+// Vers word (putVB's version cell, delV's tombstone): a stall there lets
+// another writer move the head, so the stalled CAS loses and takes the
+// lost path, whose new cell links the old head without owning a count
+// (see prepend). Stall-only: a crash here would leak the unpublished
+// cell and its value.
+var chaosPrependCAS = chaos.New("rcds.vers.before-prepend-cas")
+
+// prepend publishes cell, whose next word already holds head's exact word
+// uncounted, as e's newest version: one CAS of e.Vers from head to cell.
+// On success e's count unit for head moves into cell.next, so head's
+// count line — the one concurrent readers of this key are reading — is
+// not written, and no retire or deferred decrement is paid. On failure
+// CompareAndSwapLinked has cleared cell.next, and the caller still owns
+// cell.
+func (t *hashThread) prepend(e *listNode, head, cell core.RcPtr) bool {
+	chaosPrependCAS.Fire()
+	return t.th.CompareAndSwapLinked(&e.Vers, head, cell, &t.th.Deref(cell).next)
+}
 
 // VersionSource is the clock and retention oracle a versioned table
 // trims against (implemented by snaplease.Pool).
@@ -315,11 +336,12 @@ func (t *hashThread) delV(key uint64) (bool, error) {
 			t.releasePos(&pos)
 			return false, nil
 		}
-		headOwned := th.RcFromSnapshot(hs)
+		// The link is uncounted until prepend moves the entry's unit
+		// into it.
 		init := func(nd *listNode) {
 			nd.Key = versTombFlag | versPending
 			atomic.StoreUint64(&nd.Val, 0)
-			nd.next.Init(headOwned)
+			nd.next.Init(hs.Ptr())
 			nd.Vers.Init(core.NilRcPtr)
 		}
 		cell, aerr := th.TryNewRc(init)
@@ -328,7 +350,6 @@ func (t *hashThread) delV(key uint64) (bool, error) {
 			cell, aerr = th.TryNewRc(init)
 		}
 		if aerr != nil {
-			th.Release(headOwned)
 			// Allocation-free fallback: deleting must not require memory
 			// when nothing retains history, or a full arena could never be
 			// drained. With no lease active (and none mid-claim) the freeze
@@ -356,7 +377,7 @@ func (t *hashThread) delV(key uint64) (bool, error) {
 			t.releasePos(&pos)
 			return true, nil
 		}
-		if !th.CompareAndSwapMove(&e.Vers, hs.Ptr(), cell) {
+		if !t.prepend(e, hs.Ptr(), cell) {
 			th.Release(cell)
 			th.ReleaseSnapshot(&hs)
 			t.releasePos(&pos)

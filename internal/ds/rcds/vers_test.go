@@ -2,9 +2,13 @@ package rcds
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"cdrc/internal/chaos"
 	"cdrc/internal/core"
 	"cdrc/internal/snaplease"
 )
@@ -35,18 +39,17 @@ func publishPending(t *testing.T, h *HashTable, key uint64, val []byte) {
 			t.Fatal(err)
 		}
 	}
-	headOwned := th.RcFromSnapshot(hs)
 	cell, err := th.TryNewRc(func(nd *listNode) {
 		nd.Key = stamp
 		atomic.StoreUint64(&nd.Val, ref)
 		atomic.StoreUint64(&nd.Exp, 0)
-		nd.next.Init(headOwned)
+		nd.next.Init(hs.Ptr())
 		nd.Vers.Init(core.NilRcPtr)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !th.CompareAndSwapMove(&e.Vers, hs.Ptr(), cell) {
+	if !m.prepend(e, hs.Ptr(), cell) {
 		t.Fatal("publishPending: head moved")
 	}
 	if ref != 0 {
@@ -120,4 +123,93 @@ func getDecide(t *testing.T, m *hashThread) []byte {
 		return nil
 	}
 	return got
+}
+
+// TestLostPrependCASLinksNoCount is the regression test for the lost
+// prepend CAS. A versioned write's new cell links the current head
+// without a count of its own (prepend moves the entry's unit into the
+// link when the CAS wins), so a lost CAS leaves an uncounted link in a
+// cell the writer then releases: unless the link is cleared first, the
+// cell's finalizer gives up a unit of the old head that nobody owned,
+// driving its count negative or freeing it under the entry. One handle
+// stalls at rcds.vers.before-prepend-cas while another writes the same
+// key, so the stalled CAS loses and retries. At quiescence every resident
+// key must hold exactly its entry and one version cell, and every value
+// slab must belong to a resident key.
+func TestLostPrependCASLinksNoCount(t *testing.T) {
+	const keys, rounds = 3, 2
+	for _, op := range []string{"PutB", "DeleteV"} {
+		t.Run(op, func(t *testing.T) {
+			h := NewVersionedHashTable(8, 3, snaplease.NewPool(3))
+			h.EnableByteValues(t.Name())
+			h.EnableDebugChecks()
+			stalled := h.AttachMap().(*hashThread)
+			writer := h.AttachMap().(*hashThread)
+			for r := uint64(0); r < rounds; r++ {
+				for k := uint64(1); k <= keys; k++ {
+					if _, _, err := writer.PutB(k, bval(k, 3*r, 64), nil); err != nil {
+						t.Fatal(err)
+					}
+					// Only hit 0 fires: the stalled handle's first
+					// prepend. The writer's and the retry's pass.
+					chaos.Enable(chaos.Config{Seed: 1, Faults: map[string]chaos.Fault{
+						"rcds.vers.before-prepend-cas": {Every: 1 << 62, Sleep: 100 * time.Millisecond},
+					}})
+					done := make(chan error, 1)
+					go func() {
+						defer func() {
+							if v := recover(); v != nil {
+								done <- fmt.Errorf("stalled %s panicked: %v", op, v)
+							}
+						}()
+						var err error
+						if op == "PutB" {
+							_, _, err = stalled.PutB(k, bval(k, 3*r+1, 64), nil)
+						} else {
+							_, err = stalled.DeleteV(k)
+						}
+						done <- err
+					}()
+					for chaosPrependCAS.Hits() == 0 {
+						runtime.Gosched()
+					}
+					if _, _, err := writer.PutB(k, bval(k, 3*r+2, 64), nil); err != nil {
+						t.Fatal(err)
+					}
+					if err := <-done; err != nil {
+						t.Fatal(err)
+					}
+					hits := chaosPrependCAS.Hits()
+					chaos.Disable()
+					if hits != 3 {
+						t.Fatalf("key %d round %d: %d prepend attempts, want 3 (stall, writer, lost CAS retried)", k, r, hits)
+					}
+				}
+			}
+			// The retried operation ran last, so a delete leaves the key
+			// absent; write it back so every key is resident.
+			for k := uint64(1); k <= keys; k++ {
+				_, found := writer.GetB(k, nil)
+				if found != (op == "PutB") {
+					t.Fatalf("key %d found=%v after the retried %s", k, found, op)
+				}
+				if _, _, err := writer.PutB(k, bval(k, 3*rounds, 64), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				stalled.Flush()
+				writer.Flush()
+			}
+			if n := h.LiveNodes(); n != 2*keys {
+				t.Fatalf("LiveNodes = %d at quiescence, want exactly 2 per resident key (%d keys)", n, keys)
+			}
+			if n := h.ByteValues().Live(); n != keys {
+				t.Fatalf("ValueSlabsLive = %d at quiescence, want exactly one per resident key (%d)", n, keys)
+			}
+			stalled.Detach()
+			writer.Detach()
+			checkByteQuiescence(t, h)
+		})
+	}
 }

@@ -156,14 +156,13 @@ func (h *Histogram) Observe(v uint64) {
 // pool's own Stats (arena cannot import obs's callers, so the fields are
 // restated here rather than aliased).
 type PoolGauges struct {
-	Allocs        uint64
-	Frees         uint64
-	Live          int64 // clamped to >= 0 by Snapshot before rendering
-	Slots         uint64
-	LiveHighWater int64
-	Capacity      uint64
-	FreeLocal     int // magazine occupancy, summed across processors
-	FreeGlobal    int // slots parked on the shared stack of free blocks
+	Allocs     uint64
+	Frees      uint64
+	Live       int64 // clamped to >= 0 by Snapshot before rendering
+	Slots      uint64
+	Capacity   uint64
+	FreeLocal  int // magazine occupancy, summed across processors
+	FreeGlobal int // slots parked on the shared stack of free blocks
 }
 
 var (
@@ -309,15 +308,14 @@ type HistogramSnapshot struct {
 // >= 0: Stats loads its two counters separately, so a racy read can see a
 // free before its alloc, and a report must never show Live: -3.
 type PoolReport struct {
-	Name          string `json:"name"`
-	Allocs        uint64 `json:"allocs"`
-	Frees         uint64 `json:"frees"`
-	Live          int64  `json:"live"`
-	Slots         uint64 `json:"slots"`
-	LiveHighWater int64  `json:"liveHighWater"`
-	Capacity      uint64 `json:"capacity,omitempty"`
-	FreeLocal     int    `json:"freeLocal"`
-	FreeGlobal    int    `json:"freeGlobal"`
+	Name       string `json:"name"`
+	Allocs     uint64 `json:"allocs"`
+	Frees      uint64 `json:"frees"`
+	Live       int64  `json:"live"`
+	Slots      uint64 `json:"slots"`
+	Capacity   uint64 `json:"capacity,omitempty"`
+	FreeLocal  int    `json:"freeLocal"`
+	FreeGlobal int    `json:"freeGlobal"`
 }
 
 // Report is an atomic-enough snapshot of every armed metric (each cell is
@@ -397,7 +395,7 @@ func Snapshot() *Report {
 		}
 		r.Pools = append(r.Pools, PoolReport{
 			Name: name, Allocs: g.Allocs, Frees: g.Frees, Live: g.Live,
-			Slots: g.Slots, LiveHighWater: g.LiveHighWater, Capacity: g.Capacity,
+			Slots: g.Slots, Capacity: g.Capacity,
 			FreeLocal: g.FreeLocal, FreeGlobal: g.FreeGlobal,
 		})
 	}
@@ -480,8 +478,8 @@ func (r *Report) Text() string {
 		fmt.Fprintf(&b, "  %-28s %d (gauge)\n", n, r.Gauges[n])
 	}
 	for _, p := range r.Pools {
-		fmt.Fprintf(&b, "  pool %-20s allocs=%d frees=%d live=%d slots=%d hw=%d freeLocal=%d freeGlobal=%d\n",
-			p.Name, p.Allocs, p.Frees, p.Live, p.Slots, p.LiveHighWater, p.FreeLocal, p.FreeGlobal)
+		fmt.Fprintf(&b, "  pool %-20s allocs=%d frees=%d live=%d slots=%d freeLocal=%d freeGlobal=%d\n",
+			p.Name, p.Allocs, p.Frees, p.Live, p.Slots, p.FreeLocal, p.FreeGlobal)
 	}
 	return b.String()
 }

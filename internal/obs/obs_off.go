@@ -29,14 +29,13 @@ func NewHistogram(name string) *Histogram { return &Histogram{name: name} }
 
 // PoolGauges mirrors the real build's gauge snapshot type.
 type PoolGauges struct {
-	Allocs        uint64
-	Frees         uint64
-	Live          int64
-	Slots         uint64
-	LiveHighWater int64
-	Capacity      uint64
-	FreeLocal     int
-	FreeGlobal    int
+	Allocs     uint64
+	Frees      uint64
+	Live       int64
+	Slots      uint64
+	Capacity   uint64
+	FreeLocal  int
+	FreeGlobal int
 }
 
 func RegisterPoolGauges(string, func() (PoolGauges, bool)) {}
@@ -63,15 +62,14 @@ type HistogramSnapshot struct {
 }
 
 type PoolReport struct {
-	Name          string `json:"name"`
-	Allocs        uint64 `json:"allocs"`
-	Frees         uint64 `json:"frees"`
-	Live          int64  `json:"live"`
-	Slots         uint64 `json:"slots"`
-	LiveHighWater int64  `json:"liveHighWater"`
-	Capacity      uint64 `json:"capacity,omitempty"`
-	FreeLocal     int    `json:"freeLocal"`
-	FreeGlobal    int    `json:"freeGlobal"`
+	Name       string `json:"name"`
+	Allocs     uint64 `json:"allocs"`
+	Frees      uint64 `json:"frees"`
+	Live       int64  `json:"live"`
+	Slots      uint64 `json:"slots"`
+	Capacity   uint64 `json:"capacity,omitempty"`
+	FreeLocal  int    `json:"freeLocal"`
+	FreeGlobal int    `json:"freeGlobal"`
 }
 
 type Report struct {

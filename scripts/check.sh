@@ -60,7 +60,7 @@ go test -race ./...
 # sweep above; running them again with higher repetition catches
 # interleavings the single pass can miss.
 echo "==> arena block-transfer race pass (count 3) + fuzz seed corpus"
-go test -race -count 3 -run 'BlockStack|Magazine|DrainLocal|CappedPool|LiveHighWater' ./internal/arena
+go test -race -count 3 -run 'BlockStack|Magazine|DrainLocal|CappedPool|CrossProcChurnCountsExact' ./internal/arena
 go test -race -run FuzzPoolOps ./internal/arena
 
 # Zero-GC value plane gate (DESIGN.md §13, results/BENCH_values.json):
@@ -135,6 +135,19 @@ go test -race -count 3 -run 'RecordSharesLineWithHeader|EvictSpareKeepsRef|Cache
 echo "==> snapshot fast-path regression pass (race, count 3)"
 go test -race -count 3 -run 'SnapshotMirrorTracksSlots|ReleasedSnapshotsPinNothing|DetachWithLiveSnapshotPanics|Takeover|ManySnapshotsOfSameObject|MarkedNilSnapshotPreservesMarks' ./internal/core
 go test -race -count 3 -run 'QueueIdleHandleDoesNotPin' ./internal/ds/rcds
+
+# Per-processor accounting and linked-prepend regression pass (DESIGN.md
+# §8, §10, acquire-retire): allocation and retire/eject counts live on
+# the calling processor, so only their sums are exact — across
+# cross-processor frees and drains (arena) and across Unregister and
+# abandonment adoption (acqret). A versioned prepend's lost CAS must
+# clear its cell's uncounted link before the cell is released (rcds).
+# Already in the ./... sweep; repeated under the race detector to keep
+# the regressions named and re-runnable.
+echo "==> per-processor accounting and linked-prepend regression pass (race, count 3)"
+go test -race -count 3 -run 'CrossProcChurnCountsExact|StatsOccupancy' ./internal/arena
+go test -race -count 3 -run 'DeferredSumsExactAcrossUnregisterAndAdoption|AbandonedRetiredListAdoptedBySurvivors' ./internal/acqret
+go test -race -count 3 -run 'LostPrependCASLinksNoCount|PendingHeadStampedByDecider' ./internal/ds/rcds
 
 echo "==> chaos soak (10s, seed 1, 2 simulated crashes per configuration)"
 go run ./cmd/cdrc-stress -duration 10s -chaos -chaos-seed 1 -crash-workers 2
