@@ -27,7 +27,7 @@ func (s *Server) execCache(h *collections.CacheHandle, shard int, sl *slot) {
 		v, ok := h.Get(sl.key, sl.vtmp[:0])
 		sl.vtmp = v
 		if ok {
-			sl.buf = appendValBytes(sl.buf[:0], "+VAL", v)
+			sl.valReply("+VAL", v)
 		} else {
 			sl.static = lineNil
 		}
@@ -35,7 +35,7 @@ func (s *Server) execCache(h *collections.CacheHandle, shard int, sl *slot) {
 		v, ok := h.GetEx(sl.key, ttl, sl.vtmp[:0])
 		sl.vtmp = v
 		if ok {
-			sl.buf = appendValBytes(sl.buf[:0], "+VAL", v)
+			sl.valReply("+VAL", v)
 		} else {
 			sl.static = lineNil
 		}
@@ -49,7 +49,7 @@ func (s *Server) execCache(h *collections.CacheHandle, shard int, sl *slot) {
 		case err != nil:
 			sl.buf = appendErr(sl.buf[:0], "cache exhausted: %v", err)
 		case existed:
-			sl.buf = appendValBytes(sl.buf[:0], "+OLD", old)
+			sl.valReply("+OLD", old)
 		default:
 			sl.static = lineNew
 		}
@@ -66,13 +66,9 @@ func (s *Server) execCache(h *collections.CacheHandle, shard int, sl *slot) {
 			sl.static = lineDel0
 		}
 	case opScan:
-		seg := sl.scan.segs[shard][:0]
-		n := h.Scan(sl.limit, func(k uint64, v []byte) bool {
-			seg = appendRow(seg, k, v)
-			return true
-		})
-		sl.scan.segs[shard] = seg
-		sl.scan.ns[shard] = n
+		if need := sl.scanNeed(); need > 0 {
+			h.Scan(need, sl.rowSink())
+		}
 	}
 }
 

@@ -150,8 +150,8 @@ func TestServerCachePutNeverBusyUnderCap(t *testing.T) {
 }
 
 // TestCacheModeScanAllShards pins the cache-mode SCAN fan-out: each
-// shard's worker renders its share into its own segment, so a SCAN with
-// room for every row returns the rows of every shard. The regression it
+// shard's share appends its rows to the reply, so a SCAN with room for
+// every row returns the rows of every shard. The regression it
 // guards had every worker write the slot's stale shard index, which the
 // race detector reports and which left at most one shard's rows.
 func TestCacheModeScanAllShards(t *testing.T) {

@@ -44,7 +44,7 @@ func Dial(addr string) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(c net.Conn) *Client {
-	return &Client{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}
+	return &Client{c: c, br: bufio.NewReaderSize(c, 64<<10), bw: bufio.NewWriter(c)}
 }
 
 // Close closes the underlying connection.
@@ -203,17 +203,21 @@ type Entry struct {
 }
 
 // readScanReply parses a `*<n>` header line plus n `<key> <len>\n<bytes>`
-// rows (the reply shape SCAN and SNAPSCAN share).
-func (cl *Client) readScanReply(line, verb string) ([]Entry, error) {
+// rows (the reply shape SCAN and SNAPSCAN share). A count below zero, or
+// above a positive requested limit, is rejected before anything is sized
+// from it.
+func (cl *Client) readScanReply(line, verb string, limit int) ([]Entry, error) {
 	rest, ok := strings.CutPrefix(line, "*")
 	if !ok {
 		return nil, fmt.Errorf("server: unexpected reply %q to %s", line, verb)
 	}
 	n, err := strconv.Atoi(rest)
-	if err != nil {
+	if err != nil || n < 0 || limit > 0 && n > limit {
 		return nil, fmt.Errorf("server: bad %s count %q", verb, rest)
 	}
-	ents := make([]Entry, 0, n)
+	// A count sizes at most a default-capped reply up front: without a
+	// limit the client cannot bound it.
+	ents := make([]Entry, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
 		row, err := cl.readLine()
 		if err != nil {
@@ -244,7 +248,7 @@ func (cl *Client) Scan(limit int) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cl.readScanReply(line, "SCAN")
+	return cl.readScanReply(line, "SCAN", limit)
 }
 
 // SnapScan returns up to limit entries read from one point-in-time
@@ -256,7 +260,7 @@ func (cl *Client) SnapScan(limit int) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cl.readScanReply(line, "SNAPSCAN")
+	return cl.readScanReply(line, "SNAPSCAN", limit)
 }
 
 // MGet reads up to 8 keys atomically from one point-in-time snapshot

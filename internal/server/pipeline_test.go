@@ -188,6 +188,97 @@ func TestServerGetZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestServerValueRepliesZeroAlloc extends the zero-allocation bar to
+// replies that carry kilobytes: windows of PUTs that replace 3 KiB values
+// (each answered +OLD with the displaced value) and a SNAPSCAN 64 over
+// 3 KiB rows. The client side reads the scan rows with ReadSlice and
+// Discard, so it allocates nothing either; any per-request allocation
+// on the server's value or scan reply path fails the budget.
+func TestServerValueRepliesZeroAlloc(t *testing.T) {
+	s, err := New(Config{Shards: 4, Workers: 4, ExpectedKeys: 1 << 10})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer cl.Close()
+
+	const nKeys, valLen, depth, scanRows = 256, 3 << 10, 16, 64
+	vals := [2][]byte{bytes.Repeat([]byte{'a'}, valLen), bytes.Repeat([]byte{'b'}, valLen)}
+	for k := uint64(0); k < nKeys; k++ {
+		if _, _, err := cl.Put(k, vals[0]); err != nil {
+			t.Fatalf("seed Put(%d): %v", k, err)
+		}
+	}
+	var b Batch
+	results := make([]Result, 0, depth)
+	next := uint64(0)
+	puts := func() {
+		b.Reset()
+		for j := 0; j < depth; j++ {
+			k := next % nKeys
+			b.Put(k, vals[(next/nKeys+1)%2])
+			next++
+		}
+		var err error
+		if results, err = cl.DoBatch(&b, results[:0]); err != nil {
+			t.Fatalf("DoBatch: %v", err)
+		}
+		for i, res := range results {
+			if res.Busy || !res.Found || len(res.Bytes) != valLen {
+				t.Fatalf("PUT reply %d: busy %v found %v, %d B, want +OLD of %d B",
+					i, res.Busy, res.Found, len(res.Bytes), valLen)
+			}
+		}
+	}
+	snapScan := func() {
+		cl.bw.WriteString("SNAPSCAN 64\n")
+		if err := cl.bw.Flush(); err != nil {
+			t.Fatalf("SNAPSCAN send: %v", err)
+		}
+		line, err := cl.br.ReadSlice('\n')
+		if err != nil || string(line) != "*64\n" {
+			t.Fatalf("SNAPSCAN header %q, %v, want *%d", line, err, scanRows)
+		}
+		for i := 0; i < scanRows; i++ {
+			row, err := cl.br.ReadSlice('\n')
+			if err != nil {
+				t.Fatalf("SNAPSCAN row %d: %v", i, err)
+			}
+			n, ok := parseUintBytes(row[bytes.LastIndexByte(row, ' ')+1 : len(row)-1])
+			if !ok || n != valLen {
+				t.Fatalf("SNAPSCAN row %d header %q, want a %d B value", i, row, valLen)
+			}
+			if _, err := cl.br.Discard(int(n) + 1); err != nil {
+				t.Fatalf("SNAPSCAN row %d body: %v", i, err)
+			}
+		}
+	}
+	round := func() {
+		puts()
+		snapScan()
+	}
+	// Warm the slot scratch, both bufio buffers, the arena's value slabs
+	// and the version chains' steady state.
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	const roundsPerRun = 32
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < roundsPerRun; i++ {
+			round()
+		}
+	})
+	perRequest := allocs / (roundsPerRun * (depth + 1))
+	t.Logf("allocs: %.2f per run, %.4f per request", allocs, perRequest)
+	if perRequest > 0.05 {
+		t.Fatalf("PUT +OLD and SNAPSCAN replies allocate %.4f per request, want 0", perRequest)
+	}
+}
+
 // TestOversizedLine sends a request line longer than the server's read
 // buffer. The old bufio.Scanner-based loop silently dropped the
 // connection; the server must instead reply "-ERR line too long",

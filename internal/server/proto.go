@@ -127,10 +127,10 @@ const (
 // are allocated once per connection (MaxPipeline of them) and recycled
 // through the free list, so the steady-state hot path performs zero heap
 // allocations per request. The connection's reader fills, runs and
-// completes a slot - SCAN fans out to every shard's share, each writing
-// only its own segs/ns index - and the writer only reads the rendered
-// reply after the slot's window was issued, so no field is shared
-// between goroutines at once.
+// completes a slot - SCAN fans out to every shard's share, and the shares
+// run one after another in shard order - and the writer only reads the
+// rendered reply after the slot's window was issued, so no field is
+// shared between goroutines at once.
 type slot struct {
 	op    int
 	key   uint64
@@ -139,9 +139,10 @@ type slot struct {
 	// val holds the request's value bytes (PUT/SETEX/RPUT), copied off
 	// the connection's parse buffer by the reader — the parse buffer is
 	// recycled per line, while the op runs only when its window flushes.
-	// vtmp is execution scratch for reading displaced or fetched values
-	// before rendering. Both are per-slot and reused, so the steady-state data
-	// path allocates nothing once warm.
+	// vtmp is execution scratch for reading displaced or fetched values;
+	// a value reply is written straight from it (valReply). Both are
+	// per-slot and reused, so the steady-state data path allocates nothing
+	// once warm.
 	val  []byte
 	vtmp []byte
 
@@ -157,13 +158,21 @@ type slot struct {
 	local bool
 
 	// static, when non-nil, is a shared immutable reply line; otherwise
-	// buf holds the rendered reply. buf is per-slot scratch, reused.
+	// the reply is buf, the rendered head, followed by body, which points
+	// at slot scratch written in place (vtmp or rows; nil for none). buf is
+	// per-slot scratch, reused.
 	static []byte
 	buf    []byte
+	body   []byte
 
-	// scan holds the per-shard segment buffers for SCAN fan-out; lazily
-	// created on a slot's first SCAN and reused afterwards.
-	scan *scanState
+	// rows collects a SCAN/SNAPSCAN reply's row frames and nrows counts
+	// them. Each shard's share scans only the limit-nrows rows still
+	// needed and appends them here, so rows is the reply body as written:
+	// shard order, under the row cap. addRow is the scan callback, bound
+	// once per slot so a share allocates no closure.
+	rows   []byte
+	nrows  int
+	addRow func(k uint64, v []byte) bool
 
 	// MGET state: keys holds the requested keys (request order); shard
 	// i's share fills mvals/mhits for the keys it owns. ts and lease carry
@@ -181,32 +190,36 @@ type slot struct {
 	cause uint32
 }
 
-// scanState carries SCAN fan-out results: segs[i] holds shard i's
-// rendered "<key> <val>\n" rows, ns[i] the row count.
-type scanState struct {
-	segs [][]byte
-	ns   []int
-}
-
 func (sl *slot) reset() {
 	sl.local = false
 	sl.static = nil
 	sl.buf = sl.buf[:0]
+	sl.body = nil
+	sl.rows = sl.rows[:0]
+	sl.nrows = 0
 	sl.cause = causeNone
 }
 
-func (sl *slot) ensureScan(shards int) {
-	if sl.scan == nil {
-		sl.scan = &scanState{segs: make([][]byte, shards), ns: make([]int, shards)}
-		return
+// scanNeed returns how many rows this SCAN share may still add: the cap
+// less the rows earlier shards' shares already added, or 0 once the
+// request has failed (its reply is -BUSY whatever the rows).
+func (sl *slot) scanNeed() int {
+	if sl.cause != causeNone {
+		return 0
 	}
-	// Recycled slot: a shard that contributes nothing this time (replica,
-	// crash, shed) must not leak the previous request's rows into the
-	// union, so both halves of the accounting are reset up front.
-	for i := range sl.scan.segs {
-		sl.scan.segs[i] = sl.scan.segs[i][:0]
-		sl.scan.ns[i] = 0
+	return sl.limit - sl.nrows
+}
+
+// rowSink returns the scan callback that appends one row frame to rows.
+func (sl *slot) rowSink() func(k uint64, v []byte) bool {
+	if sl.addRow == nil {
+		sl.addRow = func(k uint64, v []byte) bool {
+			sl.rows = appendRow(sl.rows, k, v)
+			sl.nrows++
+			return true
+		}
 	}
+	return sl.addRow
 }
 
 // ensureMGet sizes the multi-key result arrays and clears the hit flags
@@ -235,7 +248,8 @@ func (sl *slot) fail(cause uint32) {
 }
 
 // complete finishes the slot once its window has run: accounting, busy
-// rendering, and SCAN/MGET assembly. procID shards the obs counters.
+// rendering, the SCAN header and MGET assembly. procID shards the obs
+// counters.
 func (sl *slot) complete(procID int) {
 	// The snapshot lease ends with the slot, success or shed: completion
 	// is the single point every outcome (reply, shed, crash) funnels
@@ -248,7 +262,10 @@ func (sl *slot) complete(procID int) {
 			obsReply.Inc(procID)
 		}
 		if !sl.local && (sl.op == opScan || sl.op == opSnapScan) {
-			sl.buf = sl.scan.assemble(sl.buf[:0], sl.limit)
+			sl.buf = append(sl.buf[:0], '*')
+			sl.buf = strconv.AppendInt(sl.buf, int64(sl.nrows), 10)
+			sl.buf = append(sl.buf, '\n')
+			sl.body = sl.rows
 			sl.static = nil
 		}
 		if !sl.local && sl.op == opMGet {
@@ -281,79 +298,14 @@ func (sl *slot) complete(procID int) {
 	}
 }
 
-// payload returns the rendered reply. Only the connection writer calls
-// it, after the slot's window was issued.
-func (sl *slot) payload() []byte {
+// payload returns the rendered reply as a head and a body, written in
+// that order. Only the connection writer calls it, after the slot's
+// window was issued.
+func (sl *slot) payload() (head, body []byte) {
 	if sl.static != nil {
-		return sl.static
+		return sl.static, nil
 	}
-	return sl.buf
-}
-
-// rowSpan returns the byte length of the row starting at off in seg: a
-// "<key> <len>\n" header followed by len body bytes and one LF. Value
-// bytes are binary, so rows cannot be delimited by counting newlines —
-// the header's length field is the frame. The server renders the
-// segments itself, but the walk still bounds every step so a malformed
-// segment truncates instead of panicking.
-func rowSpan(seg []byte, off int) int {
-	i := off
-	for i < len(seg) && seg[i] != '\n' {
-		i++
-	}
-	if i >= len(seg) {
-		return len(seg) - off
-	}
-	sp := off
-	for j := off; j < i; j++ {
-		if seg[j] == ' ' {
-			sp = j + 1
-		}
-	}
-	n, ok := parseUintBytes(seg[sp:i])
-	span := (i - off) + 1 + int(n) + 1
-	if !ok || off+span > len(seg) {
-		return len(seg) - off
-	}
-	return span
-}
-
-// assemble renders the SCAN reply: "*<n>\n" followed by n rows taken
-// from the shard segments in shard order, capped at limit at merge time
-// (each shard scanned up to limit rows on its own, so the union can
-// carry up to shards×limit). Rows are copied by walking row frames with
-// rowSpan — never "the whole segment" on a fast path — so a segment
-// that somehow disagrees with its row count can shift rows but never
-// overrun the advertised header.
-func (s *scanState) assemble(buf []byte, limit int) []byte {
-	total := 0
-	for _, n := range s.ns {
-		total += n
-	}
-	if limit > 0 && total > limit {
-		total = limit
-	}
-	buf = append(buf, '*')
-	buf = strconv.AppendInt(buf, int64(total), 10)
-	buf = append(buf, '\n')
-	need := total
-	for i, seg := range s.segs {
-		if need <= 0 {
-			break
-		}
-		take := s.ns[i]
-		if take > need {
-			take = need
-		}
-		rows, end := 0, 0
-		for end < len(seg) && rows < take {
-			end += rowSpan(seg, end)
-			rows++
-		}
-		buf = append(buf, seg[:end]...)
-		need -= rows
-	}
-	return buf
+	return sl.buf, sl.body
 }
 
 // assembleMGet renders the MGET reply: "*<n>\n" then one row per
@@ -395,15 +347,16 @@ func appendErr(buf []byte, format string, args ...any) []byte {
 	return append(buf, '\n')
 }
 
-// appendValBytes renders a value-carrying reply, "<prefix> <len>\n" then
-// the raw bytes and one LF, without allocating once buf is warm.
-func appendValBytes(buf []byte, prefix string, v []byte) []byte {
-	buf = append(buf, prefix...)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(len(v)), 10)
-	buf = append(buf, '\n')
-	buf = append(buf, v...)
-	return append(buf, '\n')
+// valReply renders a value-carrying reply without copying the value:
+// "<prefix> <len>\n" into buf, and one LF appended to v, the slot's vtmp
+// scratch, which becomes the reply body.
+func (sl *slot) valReply(prefix string, v []byte) {
+	sl.buf = append(sl.buf[:0], prefix...)
+	sl.buf = append(sl.buf, ' ')
+	sl.buf = strconv.AppendInt(sl.buf, int64(len(v)), 10)
+	sl.buf = append(sl.buf, '\n')
+	sl.vtmp = append(v, '\n')
+	sl.body = sl.vtmp
 }
 
 // appendRow renders one scan/MGET row frame: "<key> <len>\n<bytes>\n".

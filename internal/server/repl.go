@@ -399,7 +399,7 @@ func (s *Server) execLoggedWrite(h *collections.MapHandle, rl *replLog, sl *slot
 			rl.appendLocked('P', sl.key, sl.val, procID)
 		}
 		if existed {
-			sl.buf = appendValBytes(sl.buf[:0], "+OLD", old)
+			sl.valReply("+OLD", old)
 		} else {
 			sl.static = lineNew
 		}

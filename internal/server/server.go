@@ -1067,7 +1067,6 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 		if sl.limit <= 0 || sl.limit > s.cfg.ScanLimit {
 			sl.limit = s.cfg.ScanLimit
 		}
-		sl.ensureScan(len(s.shards))
 		p.fanout(sl)
 	case vSnapScan:
 		if s.cfg.CacheMode {
@@ -1089,7 +1088,6 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 		if sl.limit <= 0 || sl.limit > s.cfg.ScanLimit {
 			sl.limit = s.cfg.ScanLimit
 		}
-		sl.ensureScan(len(s.shards))
 		lease, ok := s.leases.Acquire(0)
 		if !ok {
 			sl.fail(causeLease)
@@ -1147,19 +1145,21 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 }
 
 // connWriter is the connection's write half: it takes finished windows
-// in request order, writes every reply of each, and returns the window,
-// slots and all, to the reader. Replies coalesce in one buffered writer
-// across windows, which is flushed when no further window is already
-// issued or MaxPipeline replies have accumulated. A lock-step client
-// therefore still gets one flush per request, while a pipelining client
-// amortizes the syscall across the window. Writing on its own goroutine
-// lets the reader keep absorbing up to MaxPipeline requests while a
-// reply write is blocked on a client that is itself still writing. On
-// a broken peer it keeps draining and returning windows without
-// writing, so the reader never blocks on a dead connection.
+// in request order, writes every reply of each - its head, then its body
+// straight from slot scratch - and returns the window, slots and all, to
+// the reader. Replies coalesce across windows in one buffered writer,
+// sized at 64 KiB to hold a window of kilobyte values, which is flushed
+// when no further window is already issued or MaxPipeline replies have
+// accumulated. A lock-step client therefore still gets one flush per
+// request, while a pipelining client amortizes the syscall across the
+// window. Writing on its own goroutine lets the reader keep absorbing up
+// to MaxPipeline requests while a reply write is blocked on a client
+// that is itself still writing. On a broken peer it keeps draining and
+// returning windows without writing, so the reader never blocks on a
+// dead connection.
 func (s *Server) connWriter(c net.Conn, issued <-chan []*slot, returned chan<- []*slot, writerDone chan<- struct{}) {
 	defer close(writerDone)
-	bw := bufio.NewWriterSize(c, 32<<10)
+	bw := bufio.NewWriterSize(c, 64<<10)
 	broken := false
 	batch := 0
 	flush := func() {
@@ -1176,9 +1176,12 @@ func (s *Server) connWriter(c net.Conn, issued <-chan []*slot, returned chan<- [
 	for w := range issued {
 		for _, sl := range w {
 			if !broken {
-				if _, err := bw.Write(sl.payload()); err != nil {
-					broken = true
+				head, body := sl.payload()
+				_, err := bw.Write(head)
+				if err == nil {
+					_, err = bw.Write(body)
 				}
+				broken = err != nil
 			}
 			if batch++; batch >= s.cfg.MaxPipeline {
 				flush()
@@ -1299,16 +1302,18 @@ func (s *Server) run(x *shardExec, shard, procID int, b []*slot) (rest []*slot) 
 
 // exec runs one request (or, for SCAN, this shard's share of one)
 // against a borrowed shard handle, rendering the reply into the
-// slot's scratch. The GET/PUT/DEL path performs zero heap allocations
-// once the slot's buffers are warm; in single-node mode the cluster
-// checks cost one nil load per write.
+// slot's scratch. A SCAN share scans only the rows still needed under
+// the cap: shares run in shard order, so once earlier shards filled the
+// reply the later ones scan nothing. The GET/PUT/DEL path performs zero
+// heap allocations once the slot's buffers are warm; in single-node
+// mode the cluster checks cost one nil load per write.
 func (s *Server) exec(h *collections.MapHandle, procID, shard int, sl *slot) {
 	switch sl.op {
 	case opGet:
 		v, ok := h.Get(sl.key, sl.vtmp[:0])
 		sl.vtmp = v // keep the grown capacity for the next request
 		if ok {
-			sl.buf = appendValBytes(sl.buf[:0], "+VAL", v)
+			sl.valReply("+VAL", v)
 		} else {
 			sl.static = lineNil
 		}
@@ -1323,7 +1328,7 @@ func (s *Server) exec(h *collections.MapHandle, procID, shard int, sl *slot) {
 		case err != nil:
 			sl.fail(causeArena)
 		case existed:
-			sl.buf = appendValBytes(sl.buf[:0], "+OLD", old)
+			sl.valReply("+OLD", old)
 		default:
 			sl.static = lineNew
 		}
@@ -1343,35 +1348,18 @@ func (s *Server) exec(h *collections.MapHandle, procID, shard int, sl *slot) {
 		}
 	case opRPut, opRDel:
 		s.execReplApply(h, sl, procID)
-	case opScan:
-		if s.cluster && s.role[shard].Load() != rolePrimary {
-			// Replica/unhosted shards contribute no rows: a cluster-wide
-			// SCAN fans out one SCAN per node and unions them without
-			// duplicates.
-			sl.scan.segs[shard] = sl.scan.segs[shard][:0]
-			sl.scan.ns[shard] = 0
+	case opScan, opSnapScan:
+		// Replica/unhosted shards contribute no rows: a cluster-wide SCAN
+		// fans out one SCAN per node and unions them without duplicates.
+		need := sl.scanNeed()
+		if need <= 0 || s.cluster && s.role[shard].Load() != rolePrimary {
 			return
 		}
-		seg := sl.scan.segs[shard][:0]
-		n := h.Scan(sl.limit, func(k uint64, v []byte) bool {
-			seg = appendRow(seg, k, v)
-			return true
-		})
-		sl.scan.segs[shard] = seg
-		sl.scan.ns[shard] = n
-	case opSnapScan:
-		if s.cluster && s.role[shard].Load() != rolePrimary {
-			sl.scan.segs[shard] = sl.scan.segs[shard][:0]
-			sl.scan.ns[shard] = 0
-			return
+		if sl.op == opScan {
+			h.Scan(need, sl.rowSink())
+		} else {
+			h.ScanAt(sl.ts, need, sl.rowSink())
 		}
-		seg := sl.scan.segs[shard][:0]
-		n := h.ScanAt(sl.ts, sl.limit, func(k uint64, v []byte) bool {
-			seg = appendRow(seg, k, v)
-			return true
-		})
-		sl.scan.segs[shard] = seg
-		sl.scan.ns[shard] = n
 	case opMGet:
 		// Resolve only this shard's keys, at the slot's lease timestamp;
 		// the shard shares write disjoint mvals/mhits indexes (each

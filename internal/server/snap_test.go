@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -502,6 +505,111 @@ func TestClusterScanCap(t *testing.T) {
 		}
 		if live := s.Live(); live != 0 {
 			t.Fatalf("node %d Live() = %d after Close, want 0", i, live)
+		}
+	}
+}
+
+// TestScanLimitIsPrefixOfFullScan pins the per-share row budget: each
+// shard's share scans only the rows the cap still allows, so a capped
+// scan must return exactly the first min(limit, keys) rows of the full
+// scan, in the same order with the same values. The limits straddle
+// every shard boundary of the full scan, where a budget that ran out one
+// row early or late would show.
+func TestScanLimitIsPrefixOfFullScan(t *testing.T) {
+	const shards, keys = 4, 120
+	// Values of varied length, tagged with their key.
+	val := func(k uint64) []byte {
+		return append(tb(k), bytes.Repeat([]byte{byte(k)}, int(k*37%300))...)
+	}
+	m := newTestServer(t, Config{Shards: shards, Workers: shards, ExpectedKeys: 256})
+	mcl := dialTest(t, m)
+	defer mcl.Close()
+	c, ccl := newCacheServer(t, Config{Shards: shards, Workers: shards, ExpectedKeys: 256})
+	defer ccl.Close()
+	for k := uint64(0); k < keys; k++ {
+		if _, _, err := mcl.Put(k, val(k)); err != nil {
+			t.Fatalf("Put(%d): %v", k, err)
+		}
+		if _, _, err := ccl.SetEx(k, val(k), 0); err != nil {
+			t.Fatalf("SetEx(%d): %v", k, err)
+		}
+	}
+	for _, scan := range []struct {
+		name string
+		fn   func(int) ([]Entry, error)
+	}{{"Scan", mcl.Scan}, {"SnapScan", mcl.SnapScan}, {"cache Scan", ccl.Scan}} {
+		full, err := scan.fn(1000)
+		if err != nil {
+			t.Fatalf("%s(1000): %v", scan.name, err)
+		}
+		if len(full) != keys {
+			t.Fatalf("%s(1000) = %d rows, want %d", scan.name, len(full), keys)
+		}
+		limits := []int{1, 7, 119, 120, 1000}
+		for i := 1; i < len(full); i++ {
+			if KeyShard(full[i].Key, shards) != KeyShard(full[i-1].Key, shards) {
+				limits = append(limits, i-1, i, i+1)
+			}
+		}
+		for _, limit := range limits {
+			got, err := scan.fn(limit)
+			if err != nil {
+				t.Fatalf("%s(%d): %v", scan.name, limit, err)
+			}
+			want := full[:min(limit, keys)]
+			if len(got) != len(want) {
+				t.Fatalf("%s(%d) = %d rows, want %d", scan.name, limit, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Key != want[i].Key || !bytes.Equal(got[i].Val, want[i].Val) {
+					t.Fatalf("%s(%d) row %d = key %d (%d B), want key %d (%d B)",
+						scan.name, limit, i, got[i].Key, len(got[i].Val), want[i].Key, len(want[i].Val))
+				}
+			}
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("cache Close: %v", err)
+	}
+}
+
+// TestClientRejectsBadScanCount feeds the client scan replies whose row
+// count no request could produce: a negative count, and one above the
+// requested limit. Both must come back as errors, not as a panic in
+// sizing the result slice.
+func TestClientRejectsBadScanCount(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply string
+		limit int
+	}{
+		{"negative", "*-1\n", 10},
+		{"negative without limit", "*-1\n", 0},
+		{"above limit", "*11\n", 10},
+		{"huge without limit", "*9223372036854775807\n", 0},
+	} {
+		for _, verb := range []string{"SCAN", "SNAPSCAN"} {
+			srv, conn := net.Pipe()
+			go func() {
+				defer srv.Close()
+				if _, err := bufio.NewReader(srv).ReadString('\n'); err == nil {
+					srv.Write([]byte(tc.reply))
+				}
+			}()
+			cl := NewClient(conn)
+			var err error
+			if verb == "SCAN" {
+				_, err = cl.Scan(tc.limit)
+			} else {
+				_, err = cl.SnapScan(tc.limit)
+			}
+			cl.Close()
+			if err == nil {
+				t.Fatalf("%s %s reply %q: no error", tc.name, verb, tc.reply)
+			}
 		}
 	}
 }

@@ -102,7 +102,7 @@ go test -race -count 3 -run 'RetireEjectBounded|SharedHandlesReclaimBounded|Eage
 # ramp and full chunks), overflow chains with right-sized tails (round
 # trips at the shape boundaries, tail classes, Free/Adopt of an inflight
 # chain, all-or-nothing under a capped class), and cache-mode SCAN
-# rendering every shard's segment. Already in the ./... sweep; repeated
+# returning every shard's rows. Already in the ./... sweep; repeated
 # under the race detector to keep the regressions named and re-runnable.
 echo "==> arena carving and value-chain regression pass (race, count 3)"
 go test -race -count 3 -run 'ChunkShiftDerived|ChunkRamp|CarveSkips|SlotsCountsCarved|CappedPoolSlotMemory|CrossChunkGrowth|HandlesAreDistinct' ./internal/arena
@@ -186,15 +186,16 @@ go run -race ./cmd/cdrc-load -duration 5s -conns 4 -pipeline 16 -chaos -chaos-se
 # ./... sweep; repeated under the race detector to keep the regressions
 # named and re-runnable.
 echo "==> server window and handle-pool regression pass (race, count 5)"
-go test -race -count 5 -run 'WindowFlush|CrashMidBatch|QueueDepthCounts|PipelineLargeRepliesBeforeRead|HandlesBoundPids|PipelinedOrdering|QueueBusy|ServerGetZeroAlloc|SplitSegment' ./internal/server
+go test -race -count 5 -run 'WindowFlush|CrashMidBatch|QueueDepthCounts|PipelineLargeRepliesBeforeRead|HandlesBoundPids|PipelinedOrdering|QueueBusy|ServerGetZeroAlloc|ServerValueRepliesZeroAlloc|SplitSegment' ./internal/server
 
-# Snapshot-read regression pass: the SCAN row-cap fix, pipelined
-# slot-reuse fix, MGET/SNAPSCAN point-in-time consistency, lease-pool
-# shed accounting, and the crash-releases-lease path, all under the
-# race detector (these are in the ./... sweep; the dedicated pass keeps
-# the regressions named and re-runnable).
+# Snapshot-read regression pass: the SCAN row-cap fix, per-share row
+# budgets selecting the uncapped scan's prefix, the client's row-count
+# check, pipelined slot-reuse fix, MGET/SNAPSCAN point-in-time
+# consistency, lease-pool shed accounting, and the crash-releases-lease
+# path, all under the race detector (these are in the ./... sweep; the
+# dedicated pass keeps the regressions named and re-runnable).
 echo "==> snapshot-read regression pass (race: row caps, slot reuse, MGET, leases)"
-go test -race -count 1 -run 'ScanRowCap|SlotReuse|MGet|SnapScan|Lease|Versioned' ./internal/server ./collections
+go test -race -count 1 -run 'ScanRowCap|SlotReuse|ScanLimitIsPrefixOfFullScan|ClientRejectsBadScanCount|MGet|SnapScan|Lease|Versioned' ./internal/server ./collections
 
 # Scan-heavy soak: the snapshot-read mix (SNAPSCAN 512 + 4-key MGET at
 # the scan boundary) under race, with the same conservation, integrity,
