@@ -26,34 +26,26 @@ type CacheConfig struct {
 	// Name, when non-empty, prefixes the shard's obs gauges.
 	Name string
 
-	// ExpectedKeys sizes the hash table (load factor 1).
+	// ExpectedKeys sizes an uncapped shard's hash table (load factor 1)
+	// and eviction ring. A capped shard is sized by Capacity instead.
 	ExpectedKeys int
 
 	// MaxProcs bounds concurrent handles (0 = library default).
 	MaxProcs int
 
 	// Capacity caps the backing arena in entry slots (0 = uncapped).
-	// Beyond it, Set evicts instead of failing.
+	// Beyond it, Set evicts instead of failing. A capped shard's hash
+	// table has at most Capacity buckets and its eviction ring 4 ×
+	// Capacity records.
 	Capacity uint64
 
 	// ValueCapacity caps each value size class in slab slots (0 =
 	// uncapped). Like Capacity, exhaustion triggers evict-then-retry.
 	ValueCapacity uint64
 
-	// IndexSize is the eviction ring's record capacity (0 derives
-	// 4 × max(ExpectedKeys, Capacity)).
-	IndexSize int
-
 	// SweepInterval is the background expiry sweeper's period
 	// (StartSweeper; 0 disables).
 	SweepInterval time.Duration
-
-	// SweepBatch is index records examined per sweep tick (0 = 64).
-	SweepBatch int
-
-	// EvictRetries bounds Set's evict-then-retry attempts under arena
-	// backpressure (0 = 16).
-	EvictRetries int
 
 	// DebugChecks turns reads of freed slots into panics.
 	DebugChecks bool
@@ -72,10 +64,7 @@ func NewCache(cfg CacheConfig) *Cache {
 		MaxProcs:      cfg.MaxProcs,
 		Capacity:      cfg.Capacity,
 		ValueCapacity: cfg.ValueCapacity,
-		IndexSize:     cfg.IndexSize,
 		SweepInterval: cfg.SweepInterval,
-		SweepBatch:    cfg.SweepBatch,
-		EvictRetries:  cfg.EvictRetries,
 		DebugChecks:   cfg.DebugChecks,
 	})}
 }

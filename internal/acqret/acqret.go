@@ -177,6 +177,7 @@ type procState struct {
 	scanBound  int      // rlist prefix under scan
 	scanKeep   []uint64 // protected handles retained for the next scan
 	scanSpare  []uint64 // recycled backing for the post-scan rlist rebuild
+	ejectOut   []uint64 // EjectAllLocal's result, reused by the next call
 
 	// retired counts this processor's Retire calls and ejected the
 	// handles its scans classified safe, less the free-list entries
@@ -633,15 +634,20 @@ func (d *Domain) EjectAllLocal(procID int) []uint64 {
 			p.plist.Add(a)
 		}
 	}
-	var out, keep []uint64
+	// Partition in place: protected handles compact to the front of
+	// rlist, which keeps its backing array, and safe ones go to the
+	// processor's out scratch.
+	out := p.ejectOut[:0]
+	keep := 0
 	for _, h := range p.rlist {
 		if p.plist.Remove(h) {
-			keep = append(keep, h)
+			p.rlist[keep] = h
+			keep++
 		} else {
 			out = append(out, h)
 		}
 	}
-	p.rlist = keep
+	p.rlist = p.rlist[:keep]
 	p.plist.Reset()
 	if len(out) > 0 {
 		p.ejected.Add(int64(len(out)))
@@ -650,8 +656,13 @@ func (d *Domain) EjectAllLocal(procID int) []uint64 {
 	// Drain the flist too: callers of EjectAllLocal want everything.
 	out = append(out, p.flist...)
 	p.flist = p.flist[:0]
+	p.ejectOut = out
 	return out
 }
+
+// RetiredLocal returns the number of Retire calls the processor has
+// made. Only its owner may rely on it between calls.
+func (d *Domain) RetiredLocal(procID int) int64 { return d.procs[procID].retired.Load() }
 
 // PendingLocal returns the number of handles on the processor's retired
 // and free lists (diagnostics).

@@ -225,3 +225,73 @@ func TestChaosShuffleKeepsConservation(t *testing.T) {
 		t.Fatalf("conservation under chaos: %d free != %d carved", sum, st.Slots)
 	}
 }
+
+// TestCappedPoolStrandedBlocksReachable: procs processors concurrently
+// strand free slots of a capped pool and go quiet. Each allocates three
+// blocks and frees 128 + k of them (k < blockSize, different per pid),
+// leaving a full spare block, a partial active block of k slots, one
+// block on the shared stack and 64 - k live slots. Another processor
+// must still allocate until Live() reaches capacity - strandSlack(procs):
+// every full block is reachable through the shared stack or the cap-miss
+// hand-off of spare blocks (without the hand-off it stops short), and
+// only the partial active blocks, which their owners alone may hand
+// back, stay out of reach. At its first miss those are the only free
+// slots left.
+func TestCappedPoolStrandedBlocksReachable(t *testing.T) {
+	const procs = 6
+	const capSlots = 1280
+	p := NewPool[uint64](procs + 1)
+	p.DebugChecks = true
+	p.SetCapacity(capSlots)
+	var wg sync.WaitGroup
+	for id := 0; id < procs; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			hs := make([]Handle, 0, 3*blockSize)
+			for i := 0; i < 3*blockSize; i++ {
+				h, err := p.TryAlloc(id)
+				if err != nil {
+					t.Errorf("pid %d: allocation %d under the cap: %v", id, i, err)
+					return
+				}
+				hs = append(hs, h)
+			}
+			for _, h := range hs[:2*blockSize+10+8*id] {
+				p.Free(id, h)
+			}
+		}(id)
+	}
+	wg.Wait()
+	for id := 0; id < procs; id++ {
+		if got, want := p.FreeLocalPerProc()[id], blockSize+10+8*id; got != want {
+			t.Fatalf("setup: pid %d holds %d free slots, want a full spare and %d in its active block", id, got, want-blockSize)
+		}
+	}
+
+	thief := procs
+	floor := int64(capSlots - strandSlack(procs))
+	for p.Live() < floor {
+		if _, err := p.TryAlloc(thief); err != nil {
+			t.Fatalf("miss at Live %d, below capacity %d - slack %d: %v", p.Live(), capSlots, strandSlack(procs), err)
+		}
+	}
+	for {
+		if _, err := p.TryAlloc(thief); err != nil {
+			break
+		}
+	}
+	st := p.Stats()
+	local := p.FreeLocalPerProc()
+	stranded := 0
+	for id := 0; id < procs; id++ {
+		if local[id] != 10+8*id {
+			t.Errorf("pid %d holds %d free slots at the miss, want only its partial block of %d", id, local[id], 10+8*id)
+		}
+		stranded += local[id]
+	}
+	if st.FreeGlobal != 0 || local[thief] != 0 || int64(stranded)+st.Live != capSlots {
+		t.Fatalf("at the miss: %d live + %d in partial blocks (global %d, thief %d), want %d",
+			st.Live, stranded, st.FreeGlobal, local[thief], capSlots)
+	}
+}

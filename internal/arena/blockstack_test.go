@@ -156,9 +156,10 @@ func TestDrainLocalPushesBothMagazines(t *testing.T) {
 	// to a full block, which parks as the spare; the remaining 54 land in
 	// a fresh active magazine.
 	pc := &p.local[1]
-	if pc.spare.count == 0 || pc.active.count == 0 {
+	spare := unpackSpare(p.spares[1].Load())
+	if spare.count == 0 || pc.active.count == 0 {
 		t.Fatalf("setup: want both magazines populated, have active=%d spare=%d",
-			pc.active.count, pc.spare.count)
+			pc.active.count, spare.count)
 	}
 	localBefore := p.FreeLocalPerProc()[1]
 	globalBefore := p.Stats().FreeGlobal
@@ -190,8 +191,10 @@ func TestDrainLocalPushesBothMagazines(t *testing.T) {
 
 // TestCappedPoolLastBlockFirstAsker: when capacity allows exactly one
 // block, whichever processor allocates first owns the whole block (block
-// transfer is all-or-nothing), and the loser sees ErrExhausted until the
-// winner's slots are drained back to the global stack.
+// transfer is all-or-nothing), and the loser sees ErrExhausted while the
+// winner holds it as a partial active magazine. Only the owner's drain
+// republishes a partial block; once the winner's frees complete the block
+// it parks as the winner's spare, which the loser's next cap miss claims.
 func TestCappedPoolLastBlockFirstAsker(t *testing.T) {
 	p := NewPool[uint64](2)
 	p.SetCapacity(blockSize)
@@ -207,15 +210,31 @@ func TestCappedPoolLastBlockFirstAsker(t *testing.T) {
 	if _, err := p.TryAlloc(1); !errors.Is(err, ErrExhausted) {
 		t.Fatalf("second processor got %v, want ErrExhausted while the block is privately held", err)
 	}
-	// Even after the winner frees everything, the slots park in its own
-	// magazines; only a drain (abandonment adoption) republishes them.
-	p.Free(0, h)
+	h2, err := p.TryAlloc(0)
+	if err != nil {
+		t.Fatalf("winner's second allocation: %v", err)
+	}
+	p.Free(0, h2)
 	if _, err := p.TryAlloc(1); !errors.Is(err, ErrExhausted) {
-		t.Fatalf("second processor got %v before the winner's magazines were drained", err)
+		t.Fatalf("second processor got %v while the winner holds a partial block", err)
 	}
 	p.DrainLocal(0)
-	if _, err := p.TryAlloc(1); err != nil {
+	h1, err := p.TryAlloc(1)
+	if err != nil {
 		t.Fatalf("TryAlloc after drain: %v", err)
+	}
+	// Both slots freed on the second processor complete the block, which
+	// parks as its spare; the winner's next cap miss claims it.
+	p.Free(1, h1)
+	p.Free(1, h)
+	if got := unpackSpare(p.spares[1].Load()).count; got != blockSize {
+		t.Fatalf("second processor's spare holds %d slots, want a full block", got)
+	}
+	if _, err := p.TryAlloc(0); err != nil {
+		t.Fatalf("cap miss did not claim the other processor's spare block: %v", err)
+	}
+	if got := p.FreeLocalPerProc(); got[0] != blockSize-1 || got[1] != 0 {
+		t.Fatalf("after the hand-off magazines hold %v, want [%d 0]", got, blockSize-1)
 	}
 }
 

@@ -163,26 +163,45 @@ type magazine struct {
 	count int
 }
 
-// procCache is one processor's private allocation cache: an active
-// magazine served by the fast path and a spare that buffers one full block
-// of hysteresis, so alloc/free ping-pong at a block boundary never touches
-// the shared stack. Both magazines are touched only by the owning
-// processor (or by the single adopter draining an abandoned one); n mirrors
-// their summed occupancy atomically so Stats can observe it from other
-// goroutines. allocs and frees count this processor's Alloc and Free calls
-// (a Free counts on the freeing processor, not on the one that allocated
-// the slot). Only the owner writes them, with a plain load and store rather
-// than a locked add, so no allocation or free writes a line another
-// processor writes; they are atomic only so Stats can sum them. The pad
-// defeats false sharing.
+// procCache is one processor's private allocation cache: the active
+// magazine served by the fast path. It is touched only by the owning
+// processor (or by the single adopter draining an abandoned one). The
+// processor's spare, one full block of hysteresis so alloc/free ping-pong
+// at a block boundary never touches the shared stack, lives in the
+// allocator's spares cells, where a starved processor can claim it. n
+// mirrors the summed occupancy of the active magazine and the spare
+// atomically so Stats can observe it from other goroutines. allocs and
+// frees count this processor's Alloc and Free calls (a Free counts on the
+// freeing processor, not on the one that allocated the slot). Only the
+// owner writes them, with a plain load and store rather than a locked add,
+// so no allocation or free writes a line another processor writes; they
+// are atomic only so Stats can sum them. The pad defeats false sharing.
 type procCache struct {
 	active magazine
-	spare  magazine
 	n      atomic.Int64
 	allocs atomic.Uint64
 	frees  atomic.Uint64
-	_      [128 - 56]byte
+	_      [128 - 40]byte
 }
+
+// packSpare packs a full magazine into a spares cell word: its slot count
+// above blockIdxBits and its head index below. Index 0 is never carved, so
+// 0 means an empty cell.
+func packSpare(m magazine) uint64 { return uint64(m.count)<<blockIdxBits | m.head }
+
+func unpackSpare(w uint64) magazine {
+	return magazine{head: w & blockIdxMask, count: int(w >> blockIdxBits)}
+}
+
+// strandSlack bounds the free slots a capped pool can hold out of reach
+// of a processor whose allocation misses: each of the other procs
+// processors keeps at most blockSize-1 free slots in its active magazine
+// between calls (a full one moves to its spare cell or the shared stack),
+// and only its owner can hand those back (DrainLocal). Every other free
+// slot is on the shared stack, in a claimable spare cell, or uncarved, so
+// a TryAlloc miss on a capped pool whose other processors are between
+// calls implies Live() >= capacity - strandSlack(procs).
+func strandSlack(procs int) uint64 { return uint64(procs) * (blockSize - 1) }
 
 // Stats is a snapshot of a pool's allocation counters.
 type Stats struct {
@@ -233,7 +252,21 @@ type allocator[S any] struct {
 	carved    uint64 // slots carved so far
 	capSlots  uint64 // max slots ever carved; 0 = unbounded
 
+	// full is set once carving has reached capSlots, so an allocation
+	// miss on a capped pool skips growMu.
+	full atomic.Bool
+
 	local []procCache
+
+	// spares holds each processor's spare magazine as a packed word
+	// (packSpare; 0 = empty), packed densely and apart from the owners'
+	// hot procCache lines. Only the owner stores a non-zero word, and
+	// only into an empty cell; the owner or, on a cap miss, any other
+	// processor takes a block by swapping the word to 0 (the hand-off).
+	// Which block a processor takes is decided by that single atomic, so
+	// each full block has exactly one taker and a magazine's chain is
+	// still written by one processor at a time.
+	spares []atomic.Uint64
 
 	// chunkShift/chunkMask give each chunk's index range; chunkShift is
 	// derived from the slot size (chunkShiftFor). Immutable after init.
@@ -301,6 +334,7 @@ func (a *allocator[S]) init(opts PoolOpts) {
 	shift := chunkShiftFor[S]()
 	a.nextFresh = 1 // index 0 reserved so Handle(0) is unambiguously nil
 	a.local = make([]procCache, maxProcs)
+	a.spares = make([]atomic.Uint64, maxProcs)
 	a.chunkShift = shift
 	a.chunkMask = 1<<shift - 1
 	chunks := make([]*chunk[S], 0, 8)
@@ -433,14 +467,17 @@ func (a *allocator[S]) IsLive(h Handle) bool {
 
 // SetCapacity caps the total number of slots the pool may ever carve out
 // of fresh chunks (0 = unbounded, the default). Once the cap is reached,
-// allocation succeeds only by recycling freed slots: TryAlloc reports
-// ErrExhausted when none are reachable from the calling processor, and
-// Alloc panics. The cap may be set or raised at any time; lowering it
-// below the already-carved count stops further growth but reclaims
-// nothing.
+// allocation succeeds only by recycling freed slots: from the calling
+// processor's magazines, the shared stack, or another processor's spare
+// block. TryAlloc reports ErrExhausted when none of those has a slot,
+// which leaves at most strandSlack(P) free slots in other processors'
+// active magazines; Alloc panics. The cap may be set or raised at any
+// time; lowering it below the already-carved count stops further growth
+// but reclaims nothing.
 func (a *allocator[S]) SetCapacity(slots uint64) {
 	a.growMu.Lock()
 	a.capSlots = slots
+	a.full.Store(slots != 0 && a.carved >= slots)
 	a.growMu.Unlock()
 }
 
@@ -522,9 +559,9 @@ func (a *allocator[S]) tryAlloc(procID int) (*S, Handle, error) {
 func (a *allocator[S]) takeSlot(procID int) (uint64, *S, bool) {
 	pc := &a.local[procID]
 	if pc.active.count == 0 {
-		if pc.spare.count > 0 {
-			pc.active, pc.spare = pc.spare, pc.active
-		} else if !a.refill(pc) {
+		if m, ok := a.takeSpare(procID); ok {
+			pc.active = m
+		} else if !a.refill(procID) {
 			return 0, nil, false
 		}
 	}
@@ -579,36 +616,73 @@ func (a *allocator[S]) Free(procID int, h Handle) {
 	pc.active.count++
 	pc.n.Add(1)
 	if pc.active.count == blockSize {
-		if pc.spare.count == 0 {
-			pc.active, pc.spare = magazine{}, pc.active
+		// Only the owner stores into its empty spare cell, so an empty
+		// cell stays empty until this store.
+		if s := &a.spares[procID]; s.Load() == 0 {
+			s.Store(packSpare(pc.active))
 		} else {
 			pc.n.Add(-blockSize)
 			a.pushBlock(pc.active)
-			pc.active = magazine{}
 		}
+		pc.active = magazine{}
 	}
 }
 
-// refill installs a fresh active magazine in pc: one whole block popped
-// from the global stack in O(1), or - only when the stack is empty - a
-// block of fresh slots carved from chunk capacity under growMu. Called
-// with pc.active empty; reports false when the pool is capacity-capped
-// with nothing recyclable. A chaos fault at "arena.refill" permutes the
-// incoming magazine (deterministically in the schedule seed) to maximize
-// the variety of handle-reuse interleavings.
-func (a *allocator[S]) refill(pc *procCache) bool {
+// takeSpare takes procID's own spare block, if it still has one.
+func (a *allocator[S]) takeSpare(procID int) (magazine, bool) {
+	s := &a.spares[procID]
+	if s.Load() == 0 {
+		return magazine{}, false
+	}
+	w := s.Swap(0)
+	return unpackSpare(w), w != 0
+}
+
+// refill installs a fresh active magazine for procID, whose active
+// magazine and spare are empty: one whole block popped from the global
+// stack in O(1), or - only when the stack is empty - a block of fresh
+// slots carved from chunk capacity under growMu, or - only when a cap
+// stops carving - another processor's spare block (claimSpare). It
+// reports false when none is available. A chaos fault at "arena.refill"
+// permutes the incoming magazine (deterministically in the schedule seed)
+// to maximize the variety of handle-reuse interleavings.
+func (a *allocator[S]) refill(procID int) bool {
 	m, ok := a.popBlock()
 	if !ok {
 		if m, ok = a.carveBlock(); !ok {
-			return false
+			if m, ok = a.claimSpare(procID); !ok {
+				return false
+			}
 		}
 	}
+	pc := &a.local[procID]
 	pc.active = m
 	pc.n.Add(int64(m.count))
 	if seed, ok := chaosRefill.FireSeed(); ok {
 		a.shuffleMagazine(&pc.active, seed)
 	}
 	return true
+}
+
+// claimSpare is the cap-miss hand-off: one pass over the other
+// processors' spare cells, taking the first full block it can swap out.
+// The pass is bounded by the processor count and never waits on an
+// owner; a cell the owner refills behind the pass is left for the next
+// miss. The taken block's chain is read only after the swap, so a cell
+// that was emptied and refilled between the load and the CAS hands over
+// the block it holds at the CAS.
+func (a *allocator[S]) claimSpare(procID int) (magazine, bool) {
+	for i := range a.spares {
+		s := &a.spares[i]
+		w := s.Load()
+		if i == procID || w == 0 || !s.CompareAndSwap(w, 0) {
+			continue
+		}
+		m := unpackSpare(w)
+		a.local[i].n.Add(-int64(m.count))
+		return m, true
+	}
+	return magazine{}, false
 }
 
 // pushBlock pushes a magazine onto the global block stack: its head slot's
@@ -665,6 +739,9 @@ func taggedHead(old, idx uint64) uint64 {
 // first index.
 func (a *allocator[S]) carveBlock() (magazine, bool) {
 	var m magazine
+	if a.full.Load() {
+		return m, false
+	}
 	a.growMu.Lock()
 	for m.count < blockSize && (a.capSlots == 0 || a.carved < a.capSlots) {
 		idx := a.nextFresh
@@ -682,6 +759,9 @@ func (a *allocator[S]) carveBlock() (magazine, bool) {
 		a.metaFor(idx).link.Store(freeWord(m.head))
 		m.head = idx
 		m.count++
+	}
+	if a.capSlots != 0 && a.carved >= a.capSlots {
+		a.full.Store(true)
 	}
 	a.growMu.Unlock()
 	return m, m.count > 0
@@ -745,12 +825,15 @@ func (a *allocator[S]) shuffleMagazine(m *magazine, seed uint64) {
 }
 
 // DrainLocal pushes both of procID's magazines (active and spare) onto the
-// global block stack, leaving the processor's cache empty. It exists for
-// processor-id recycling after a thread crash: an abandoned id's magazines
-// are unreachable (no live thread owns the id), so their slots would be
+// global block stack, leaving the processor's cache empty. Its owner calls
+// it to hand a partial active block to other processors (only the owner
+// can: the active magazine is single-writer). It also serves processor-id
+// recycling after a thread crash: an abandoned id's magazines are
+// unreachable (no live thread owns the id), so their slots would be
 // stranded - and a future thread reissued the same id would inherit
 // magazines it never built. The adopter of an abandoned id must drain here
-// before the id is reissued. Safe only when no live thread owns procID.
+// before the id is reissued. Safe only from the owner or when no live
+// thread owns procID.
 func (a *allocator[S]) DrainLocal(procID int) {
 	pc := &a.local[procID]
 	if pc.active.count > 0 {
@@ -758,10 +841,9 @@ func (a *allocator[S]) DrainLocal(procID int) {
 		a.pushBlock(pc.active)
 		pc.active = magazine{}
 	}
-	if pc.spare.count > 0 {
-		pc.n.Add(-int64(pc.spare.count))
-		a.pushBlock(pc.spare)
-		pc.spare = magazine{}
+	if m, ok := a.takeSpare(procID); ok {
+		pc.n.Add(-int64(m.count))
+		a.pushBlock(m)
 	}
 }
 

@@ -11,7 +11,10 @@
 // backpressure is rerouted here: when the table's arena or a value size
 // class is exhausted, SetEx synchronously pops index records and evicts
 // (bounded attempts) instead of surfacing BUSY, so a capacity-capped
-// cache churns where a plain map sheds.
+// cache churns where a plain map sheds. A capped shard is sized by its
+// Capacity: the eviction ring holds 4 × Capacity records and the hash
+// table has at most Capacity buckets, since no more entries can be
+// resident.
 //
 // Crash model: simulated thread crashes (chaos.CrashSignal) may fire only
 // at this package's named points — cache.index.push, cache.evict.step,
@@ -71,33 +74,23 @@ type Config struct {
 	// ".index.records").
 	Name string
 
-	// ExpectedKeys sizes the hash table (load factor 1).
+	// ExpectedKeys sizes an uncapped shard: the hash table gets that
+	// many buckets (load factor 1) and the eviction ring 4 × ExpectedKeys
+	// records. A capped shard uses min(ExpectedKeys, Capacity) buckets
+	// and 4 × Capacity records.
 	ExpectedKeys int
 
 	// MaxProcs bounds concurrent handles (0 = library default).
 	MaxProcs int
 
 	// Capacity caps the backing arena in slots (0 = uncapped). Beyond
-	// it, SetEx evicts instead of failing.
+	// it, SetEx evicts instead of failing. It also sizes the shard (see
+	// ExpectedKeys).
 	Capacity uint64
-
-	// IndexSize is the eviction ring's record capacity (0 derives
-	// 4 × max(ExpectedKeys, Capacity); always rounded up to a power of
-	// two). It needs headroom over the resident set because unlinked
-	// entries leave stale records behind until a pop cleans them.
-	IndexSize int
 
 	// SweepInterval is the background expiry sweeper's period
 	// (StartSweeper; 0 disables).
 	SweepInterval time.Duration
-
-	// SweepBatch is the number of index records examined per sweep tick
-	// (0 = 64).
-	SweepBatch int
-
-	// EvictRetries bounds SetEx's evict-then-retry attempts under arena
-	// backpressure (0 = 16).
-	EvictRetries int
 
 	// ValueCapacity caps each value size class at that many slabs (0 =
 	// uncapped). Beyond it SetEx evicts and retries, exactly like
@@ -108,6 +101,39 @@ type Config struct {
 	// DebugChecks turns reads of freed slots into panics.
 	DebugChecks bool
 }
+
+const (
+	// indexPerEntry is the eviction ring's record capacity per entry the
+	// shard can hold (rounded up to a power of two). The ring needs
+	// headroom over the resident set because unlinked entries leave stale
+	// records behind until a pop cleans them.
+	indexPerEntry = 4
+
+	// sweepBatch is the number of index records a sweep tick examines.
+	sweepBatch = 64
+
+	// evictRetries bounds SetEx's evict-then-retry attempts under arena
+	// backpressure.
+	evictRetries = 16
+
+	// starveWait bounds how long a SetEx that is still starved after
+	// evictRetries attempts keeps retrying, napping starveNap between
+	// rounds so peers that are descheduled reach an op boundary and
+	// hand back the slots in their limbo (relieve). Only a shard with
+	// no reclaimable slot anywhere waits it out and reports the error.
+	starveWait = time.Second
+	starveNap  = 100 * time.Microsecond
+
+	// evictAhead is the number of victims an insert at capacity unlinks
+	// before its one flush: the flush frees them all into the handle's
+	// magazines, so the next evictAhead-1 inserts find a slot without
+	// evicting or flushing.
+	evictAhead = 4
+
+	// evictBatch is extra pop budget per eviction round, over four
+	// rotations of the current index.
+	evictBatch = 32
+)
 
 // Stats is a point-in-time counter snapshot. At quiescence the identity
 // Inserts == Evicts + Expires + Dels + resident holds exactly
@@ -123,24 +149,23 @@ type Stats struct {
 // Cache is one cache shard. Safe for concurrent use through per-goroutine
 // Handles.
 type Cache struct {
-	t          *rcds.HashTable
-	idx        *ring
-	retries    int
-	evictBatch int
-	sweepBatch int
-	interval   time.Duration
-	closed     atomic.Bool
-	attachSeq  atomic.Int64
+	t         *rcds.HashTable
+	idx       *ring
+	interval  time.Duration
+	closed    atomic.Bool
+	attachSeq atomic.Int64
 
 	inserts, evicts, expires, dels atomic.Uint64
 	hits, misses                   atomic.Uint64
 	attempts, unindexed            atomic.Uint64
 
-	// starved is set by a handle whose Alloc keeps failing even though the
-	// ring ran dry: the missing slots are in limbo on OTHER threads —
-	// deferred decrements on their retired lists, freed slots parked in
-	// their private magazines. Every handle checks it at op boundaries and
-	// relieves by draining its own deferred work to the shared pool
+	// starved is set by a handle whose own evictions do not produce a
+	// slot it can reach: the ring ran dry, or a retry after an eviction
+	// and a flush failed again. The missing slots are in limbo on OTHER
+	// threads — deferred decrements on their retired lists, freed slots
+	// in their partial active magazines, which only their owners can
+	// hand back. Every handle checks it at op boundaries and relieves by
+	// draining its own deferred work and magazines to the shared pool
 	// (Handle.relieve); the starved handle clears it once an Alloc lands.
 	starved atomic.Bool
 
@@ -154,25 +179,20 @@ func New(cfg Config) *Cache {
 	if cfg.ExpectedKeys < 16 {
 		cfg.ExpectedKeys = 16
 	}
-	if cfg.EvictRetries <= 0 {
-		cfg.EvictRetries = 16
+	// entries is the most the shard can hold resident: its arena cap,
+	// or the expected key count when uncapped.
+	entries := cfg.ExpectedKeys
+	if cfg.Capacity > 0 && cfg.Capacity < uint64(entries) {
+		entries = int(cfg.Capacity)
 	}
-	if cfg.SweepBatch <= 0 {
-		cfg.SweepBatch = 64
-	}
-	if cfg.IndexSize <= 0 {
-		cfg.IndexSize = 4 * cfg.ExpectedKeys
-		if c := 4 * int(cfg.Capacity); c > cfg.IndexSize {
-			cfg.IndexSize = c
-		}
+	ringRecords := indexPerEntry * cfg.ExpectedKeys
+	if cfg.Capacity > 0 {
+		ringRecords = indexPerEntry * int(cfg.Capacity)
 	}
 	c := &Cache{
-		t:          rcds.NewHashTable(cfg.ExpectedKeys, cfg.MaxProcs, true),
-		idx:        newRing(cfg.IndexSize),
-		retries:    cfg.EvictRetries,
-		evictBatch: 32,
-		sweepBatch: cfg.SweepBatch,
-		interval:   cfg.SweepInterval,
+		t:        rcds.NewHashTable(entries, cfg.MaxProcs, true),
+		idx:      newRing(ringRecords),
+		interval: cfg.SweepInterval,
 	}
 	if cfg.Capacity > 0 {
 		c.t.SetCapacity(cfg.Capacity)
@@ -351,7 +371,7 @@ func (c *Cache) sweeperLoop() {
 			return
 		case <-tick.C:
 			chaosSweepOp.Fire()
-			h.SweepPass(c.sweepBatch)
+			h.SweepPass(sweepBatch)
 		}
 	}
 }
@@ -398,6 +418,10 @@ type Handle struct {
 	// re-indexes them so survivors can still evict those entries and no
 	// weak unit is lost or doubled.
 	inflight []ds.CacheRef
+
+	// pending is place's scratch stack of records waiting for a ring
+	// slot, kept across calls so a warm insert allocates nothing.
+	pending []ds.CacheRef
 }
 
 func (h *Handle) park(ref ds.CacheRef) { h.inflight = append(h.inflight, ref) }
@@ -431,18 +455,20 @@ func deadline(now uint64, ttl time.Duration) uint64 {
 // SetEx binds key to val's bytes with a TTL (0 = no expiry), appending a
 // displaced live value's bytes to dst. Under arena backpressure — entry
 // slots or any value size class at capacity, since one eviction frees
-// both — it synchronously evicts index victims and retries, bounded by
-// EvictRetries; only if the index runs dry and the arena still refuses
-// does the error surface.
+// both — it synchronously evicts index victims, flushes once, and
+// retries, bounded by evictRetries; a shard still starved after that
+// waits up to starveWait for its peers' relief, and only then does the
+// error surface.
 func (h *Handle) SetEx(key uint64, val []byte, ttl time.Duration, dst []byte) (old []byte, existed bool, err error) {
 	h.relieve()
 	now := nowNanos()
 	exp := deadline(now, ttl)
+	var giveUp time.Time
 	for attempt := 0; ; attempt++ {
 		o, ex, ref, reaped, perr := h.th.PutExB(key, val, exp, now, dst)
 		h.account(reaped)
 		if perr == nil {
-			if attempt > 0 {
+			if attempt > 0 && h.c.starved.Load() {
 				h.c.starved.Store(false)
 			}
 			if ex {
@@ -451,10 +477,20 @@ func (h *Handle) SetEx(key uint64, val []byte, ttl time.Duration, dst []byte) (o
 			h.recordInsert(now, ref)
 			return dst, false, nil
 		}
-		if attempt >= h.c.retries {
+		if attempt < evictRetries {
+			h.evictForSpace(now, attempt)
+			continue
+		}
+		// Enough victims are unlinked; their slots are in limbo on
+		// peers. Keep draining and wait for relief instead of evicting
+		// more of the resident set.
+		if attempt == evictRetries {
+			giveUp = time.Now().Add(starveWait)
+		} else if time.Now().After(giveUp) {
 			return dst, false, perr
 		}
-		h.evictForSpace(now, attempt)
+		h.starve()
+		time.Sleep(starveNap)
 	}
 }
 
@@ -467,17 +503,18 @@ func (h *Handle) recordInsert(now uint64, ref ds.CacheRef) {
 }
 
 // evictForSpace relieves arena backpressure before a retry: unlink
-// victims, flush, and flag starvation when even the ring ran dry. The
-// victim count escalates per attempt because one unlink is not always
-// one free slot — a victim can be held alive by a dying predecessor on
-// another thread's retired list, and a whole clock rotation may be
-// needed before referenced bits run out.
+// evictAhead victims, then flush once, which frees their slots into this
+// handle's own magazines. Only when that is not enough — the ring ran
+// dry, or this is a retry after an evict-and-flush round that still left
+// the allocation failing — is the shard starved: it then also hands its
+// own magazines to the shared pool and flags the shard, so peers do the
+// same at their next op boundary. The victim count escalates per attempt
+// because one unlink is not always one free slot — a victim can be held
+// alive by a dying predecessor on another thread's retired list, and a
+// whole clock rotation may be needed before referenced bits run out.
 func (h *Handle) evictForSpace(now uint64, attempt int) {
-	target := 1 << uint(attempt)
-	if target > 64 {
-		target = 64
-	}
-	budget := 4*h.c.idx.len() + h.c.evictBatch
+	target := min(evictAhead<<uint(attempt), 64)
+	budget := 4*h.c.idx.len() + evictBatch
 	unlinked := 0
 	for i := 0; i < budget && unlinked < target; i++ {
 		out := h.step(now)
@@ -488,14 +525,21 @@ func (h *Handle) evictForSpace(now uint64, attempt int) {
 			unlinked++
 		}
 	}
-	// Publish own reclamation (flush + magazines to the shared stack)
-	// and, when even the ring ran dry, flag the shard starved: the
-	// missing slots are in limbo on peers, and only their own op
-	// boundaries (relieve) can hand them back. Yield so they run.
+	if unlinked > 0 && attempt == 0 {
+		h.th.Flush()
+		return
+	}
+	h.starve()
+	runtime.Gosched()
+}
+
+// starve flags the shard starved: the missing slots are in limbo on
+// peers, and only their own op boundaries (relieve) can hand them back.
+// It also flushes and publishes this handle's own magazines.
+func (h *Handle) starve() {
 	h.th.Drain()
-	if unlinked == 0 {
+	if !h.c.starved.Load() {
 		h.c.starved.Store(true)
-		runtime.Gosched()
 	}
 }
 
@@ -643,7 +687,7 @@ func (h *Handle) finish(ref ds.CacheRef, out ds.EvictOutcome, now, t0 uint64) {
 // clears a referenced bit); a pathological race budget-exhausts into
 // DropRef, leaving the entry resident but unindexed until Clear.
 func (h *Handle) place(now uint64, ref ds.CacheRef) {
-	pending := []ds.CacheRef{ref}
+	pending := append(h.pending[:0], ref)
 	budget := 2 * h.c.idx.cap()
 	for len(pending) > 0 {
 		r := pending[len(pending)-1]
@@ -660,6 +704,7 @@ func (h *Handle) place(now uint64, ref ds.CacheRef) {
 				h.c.unindexed.Add(1)
 				obsUnindexed.Inc(h.id)
 			}
+			h.pending = pending[:0]
 			return
 		}
 		victim, ok := h.c.idx.pop()
@@ -687,6 +732,7 @@ func (h *Handle) place(now uint64, ref ds.CacheRef) {
 			h.th.Reap(victim.Key)
 		}
 	}
+	h.pending = pending
 }
 
 // Close detaches the handle. Idempotent.

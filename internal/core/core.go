@@ -287,9 +287,11 @@ func (t *Thread[T]) Domain() *Domain[T] { return t.d }
 // ProcID returns the thread's processor id (diagnostics).
 func (t *Thread[T]) ProcID() int { return t.pid }
 
-// Detach flushes what can be flushed and releases the processor id. Any
-// still-deferred decrements are adopted by other threads' scans (or by
-// Domain drains). Snapshots must be released before detaching.
+// Detach flushes what can be flushed, hands the processor's free-slot
+// magazines to the shared block stacks (a capped pool would otherwise
+// strand them until the id is reissued), and releases the processor id.
+// Any still-deferred decrements are adopted by other threads' scans (or
+// by Domain drains). Snapshots must be released before detaching.
 func (t *Thread[T]) Detach() {
 	for _, h := range t.snapHeld {
 		if h != 0 {
@@ -297,6 +299,7 @@ func (t *Thread[T]) Detach() {
 		}
 	}
 	t.drainLocal()
+	t.DrainArena()
 	t.d.ar.Unregister(t.pid)
 }
 
@@ -346,15 +349,21 @@ func (t *Thread[T]) ReleaseStraySnapshots() {
 
 // drainLocal synchronously ejects and applies everything currently
 // safe. An applied decrement can destroy an object whose finalizer
-// retires more, so the loop runs to a fixed point.
+// retires more, so the loop runs to a fixed point: it scans again only
+// when applying the last scan's words retired something, since a scan
+// after a round that retired nothing finds only what the last one kept.
 func (t *Thread[T]) drainLocal() {
 	for {
 		out := t.d.ar.EjectAllLocal(t.pid)
 		if len(out) == 0 {
 			return
 		}
+		retired := t.d.ar.RetiredLocal(t.pid)
 		for _, w := range out {
 			t.applyEjected(w)
+		}
+		if t.d.ar.RetiredLocal(t.pid) == retired {
+			return
 		}
 	}
 }

@@ -564,3 +564,44 @@ func testConcurrentStressMode(t *testing.T, mode acqret.Mode) {
 		t.Fatalf("Live = %d after teardown", live)
 	}
 }
+
+// TestFlushAllocFreeWhenWarm pins the zero-allocation flush: once its
+// scratch has grown, a Flush that ejects a destroyed chain, applies the
+// decrements its finalizers retire, and keeps a handle another thread's
+// snapshot still protects allocates nothing. The eject scan reuses its
+// per-processor result buffer and compacts the retired list in place, so
+// the Retires after it do not regrow the list either.
+func TestFlushAllocFreeWhenWarm(t *testing.T) {
+	d := newNodeDomain(2)
+	th := d.Attach()
+	reader := d.Attach()
+	var cell AtomicRcPtr
+	th.StoreMove(&cell, th.NewRc(nil))
+	round := func() {
+		var head RcPtr
+		for i := 0; i < 8; i++ {
+			p := th.NewRc(nil)
+			th.Deref(p).Next.Init(head)
+			head = p
+		}
+		th.Release(head)
+		s := reader.GetSnapshot(&cell)
+		th.StoreMove(&cell, th.NewRc(nil)) // retires the snapshotted node
+		th.Flush()                         // keeps it: the snapshot protects it
+		reader.ReleaseSnapshot(&s)
+		th.Flush()
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("warm Flush round allocates %.2f times, want 0", allocs)
+	}
+	th.Store(&cell, NilRcPtr)
+	drain(th)
+	reader.Detach()
+	th.Detach()
+	if live := d.Live(); live != 0 {
+		t.Fatalf("Live = %d after teardown", live)
+	}
+}

@@ -34,19 +34,21 @@ import (
 // nil); scan callbacks receive a scratch slice valid only for the call.
 
 // putRef copies val into the value plane with a flush-and-retry on
-// backpressure, and parks the ref in this pid's inflight cell. The
+// backpressure (when flush is set; the cache path evicts before it
+// flushes instead), and parks the ref in this pid's inflight cell. The
 // caller owns the ref until a publishing atomic moves it into a node;
 // every return path must end in clearInflight (after publish) or
 // dropRef (on failure).
-func (t *listThread) putRef(val []byte) (uint64, error) {
+func (t *listThread) putRef(val []byte, flush bool) (uint64, error) {
 	th := t.th
 	ref, err := t.b.vp.TryPut(th.ProcID(), val)
-	if err != nil {
+	if err != nil && flush {
 		th.Flush() // recycle deferred value frees, then retry once
-		if ref, err = t.b.vp.TryPut(th.ProcID(), val); err != nil {
-			obsAllocDrop.Inc(th.ProcID())
-			return 0, err
-		}
+		ref, err = t.b.vp.TryPut(th.ProcID(), val)
+	}
+	if err != nil {
+		obsAllocDrop.Inc(th.ProcID())
+		return 0, err
 	}
 	if ref != 0 {
 		t.b.vp.SetInflight(th.ProcID(), ref)
@@ -105,7 +107,7 @@ func (t *listThread) getB(head *core.AtomicRcPtr, key uint64, dst []byte) ([]byt
 
 // putB binds key to val, returning the displaced bytes appended to dst.
 func (t *listThread) putB(head *core.AtomicRcPtr, key uint64, val, dst []byte) ([]byte, bool, error) {
-	ref, err := t.putRef(val)
+	ref, err := t.putRef(val, true)
 	if err != nil {
 		return dst, false, err
 	}
@@ -220,7 +222,7 @@ func (t *hashThread) walk(limit int, fn func(key uint64, val []byte) bool,
 
 // PutExB implements ds.CacheThread.
 func (t *hashThread) PutExB(key uint64, val []byte, exp, now uint64, dst []byte) (old []byte, existed bool, ref ds.CacheRef, reaped int, err error) {
-	vref, err := t.putRef(val)
+	vref, err := t.putRef(val, false)
 	if err != nil {
 		return dst, false, ds.CacheRef{}, 0, err
 	}
@@ -404,7 +406,7 @@ func (t *hashThread) getVB(key uint64, dst []byte) ([]byte, bool) {
 // dies).
 func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 	th := t.th
-	ref, err := t.putRef(val)
+	ref, err := t.putRef(val, true)
 	if err != nil {
 		return dst, false, err
 	}

@@ -49,7 +49,9 @@ func (h *HashTable) AttachCache() ds.CacheThread { return h.attachValued() }
 
 // tryLinkCache is tryLink plus an Exp stamp and a weak reference to the
 // new node, minted under the pre-CAS strong reference so the index can
-// track the entry without keeping it alive.
+// track the entry without keeping it alive. Unlike tryLink it does not
+// flush and retry a failed allocation: the cache caller evicts before it
+// flushes, so one flush per insert turns its victims into free slots.
 func (t *listThread) tryLinkCache(pos *position, key, ref, exp uint64) (bool, core.WeakPtr, error) {
 	th := t.th
 	var curOwned core.RcPtr
@@ -70,12 +72,9 @@ func (t *listThread) tryLinkCache(pos *position, key, ref, exp uint64) (bool, co
 	}
 	n, err := th.TryNewRc(init)
 	if err != nil {
-		th.Flush()
-		if n, err = th.TryNewRc(init); err != nil {
-			obsAllocDrop.Inc(th.ProcID())
-			th.Release(curOwned)
-			return false, core.NilWeakPtr, err
-		}
+		obsAllocDrop.Inc(th.ProcID())
+		th.Release(curOwned)
+		return false, core.NilWeakPtr, err
 	}
 	w := th.Downgrade(n)
 	if th.CompareAndSwapMove(pos.prevLink, pos.cur(), n) {

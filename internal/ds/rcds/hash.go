@@ -56,6 +56,9 @@ func (h *HashTable) EnableByteValues(name string) *vals.Pool {
 // set-only table).
 func (h *HashTable) ByteValues() *vals.Pool { return h.base.vp }
 
+// Buckets returns the table's bucket count.
+func (h *HashTable) Buckets() int { return len(h.buckets) }
+
 // Versioned reports whether the table runs the multi-versioned paths.
 func (h *HashTable) Versioned() bool { return h.vsrc != nil }
 

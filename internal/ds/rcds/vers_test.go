@@ -35,7 +35,7 @@ func publishPending(t *testing.T, h *HashTable, key uint64, val []byte) {
 	if val != nil {
 		stamp = versPending
 		var err error
-		if ref, err = m.putRef(val); err != nil {
+		if ref, err = m.putRef(val, true); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -60,7 +60,7 @@ go test -race ./...
 # sweep above; running them again with higher repetition catches
 # interleavings the single pass can miss.
 echo "==> arena block-transfer race pass (count 3) + fuzz seed corpus"
-go test -race -count 3 -run 'BlockStack|Magazine|DrainLocal|CappedPool|CrossProcChurnCountsExact' ./internal/arena
+go test -race -count 3 -run 'BlockStack|Magazine|DrainLocal|CappedPool|CrossProcChurnCountsExact|CappedPoolStrandedBlocksReachable' ./internal/arena
 go test -race -run FuzzPoolOps ./internal/arena
 
 # Zero-GC value plane gate (DESIGN.md §13, results/BENCH_values.json):
@@ -73,8 +73,8 @@ go test -race -run FuzzPoolOps ./internal/arena
 # allocations, and the detector allocates.
 echo "==> zero-GC value plane gate (alloc pins + GC pressure vs Go-heap control)"
 go test -count 1 -run 'LargeValueSweepZeroAlloc|ValueGCPressureVsControl' ./collections
-go test -count 1 -run 'AllocFreeMagazineHitZeroAlloc|CounterIncZeroAlloc|AllocsPerRunSteadyState|ByteMapAllocsSteadyState|ServerGetZeroAlloc' \
-    ./internal/arena ./internal/obs ./internal/vals ./internal/ds/rcds ./internal/server
+go test -count 1 -run 'AllocFreeMagazineHitZeroAlloc|CounterIncZeroAlloc|AllocsPerRunSteadyState|ByteMapAllocsSteadyState|ServerGetZeroAlloc|FlushAllocFreeWhenWarm' \
+    ./internal/arena ./internal/obs ./internal/vals ./internal/ds/rcds ./internal/server ./internal/core
 
 # Versioned lincheck pass (DESIGN.md §10): recorded histories of the
 # versioned map, MGET leases included, checked against the sequential
@@ -210,7 +210,7 @@ go run -race ./cmd/cdrc-load -duration 3s -conns 4 -keys 1024 -scan-every 100 -s
 # clock and backpressure suites, and the server cache verbs — named and
 # re-runnable, all under the race detector.
 echo "==> cache regression pass (race: weak-ref crashes, TTL lincheck, eviction)"
-go test -race -count 1 -run Cache \
+go test -race -count 1 -run 'Cache|CappedShardSizedByCapacity|InsertAtCapacityFlushesOnce' \
     ./internal/cache ./internal/ds/rcds ./internal/server ./collections ./internal/lincheck
 
 # Cache loopback soaks: the Zipf cache-aside scenario against a capped
