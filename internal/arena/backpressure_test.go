@@ -295,3 +295,46 @@ func TestCappedPoolStrandedBlocksReachable(t *testing.T) {
 			st.Live, stranded, st.FreeGlobal, local[thief], capSlots)
 	}
 }
+
+// TestCappedPoolHandOffUnderChurn races the cap-miss hand-off against
+// owners that park and take back their spares: every processor churns a
+// capped pool across block boundaries, so spare cells fill and empty
+// while other processors' misses claim them. A block taken twice would
+// hand one slot to two processors (a double free or a free-list state
+// panic under DebugChecks); a lost one breaks conservation at the end.
+func TestCappedPoolHandOffUnderChurn(t *testing.T) {
+	const procs = 4
+	const capSlots = 6 * blockSize
+	p := NewPool[uint64](procs)
+	p.DebugChecks = true
+	p.SetCapacity(capSlots)
+	var wg sync.WaitGroup
+	for id := 0; id < procs; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			hs := make([]Handle, 0, 3*blockSize)
+			for round := 0; round < 300; round++ {
+				for len(hs) < 2*blockSize+17*(round%5) {
+					h, err := p.TryAlloc(id)
+					if err != nil {
+						break
+					}
+					hs = append(hs, h)
+				}
+				for _, h := range hs {
+					p.Free(id, h)
+				}
+				hs = hs[:0]
+			}
+		}(id)
+	}
+	wg.Wait()
+	for id := 0; id < procs; id++ {
+		p.DrainLocal(id)
+	}
+	st := p.Stats()
+	if st.Live != 0 || st.FreeLocal != 0 || int64(st.FreeGlobal) != int64(st.Slots) || st.Slots != capSlots {
+		t.Fatalf("after churn and drain: %+v, want every one of %d slots on the shared stack", st, capSlots)
+	}
+}
