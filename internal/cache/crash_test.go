@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,9 +11,10 @@ import (
 
 // crashChurn runs one worker's churn loop, surviving simulated crashes the
 // way a server worker does: recover the CrashSignal, Abandon the handle
-// (which re-indexes its in-flight eviction records), and reattach. Returns
-// the number of deaths this worker absorbed.
-func crashChurn(t *testing.T, c *Cache, seed uint64, ops int) int {
+// (which re-indexes its in-flight eviction records), and reattach. It
+// stops once done reports true for the number of operations completed.
+// Returns the number of deaths this worker absorbed.
+func crashChurn(t *testing.T, c *Cache, seed uint64, done func(ops int) bool) int {
 	t.Helper()
 	h := c.Attach()
 	defer func() {
@@ -23,7 +25,7 @@ func crashChurn(t *testing.T, c *Cache, seed uint64, ops int) int {
 	deaths := 0
 	r := seed*2654435761 + 1
 	var dst []byte
-	for i := 0; i < ops; {
+	for i := 0; !done(i); {
 		survived := func() (ok bool) {
 			defer func() {
 				rec := recover()
@@ -72,7 +74,17 @@ func crashChurn(t *testing.T, c *Cache, seed uint64, ops int) int {
 // identity catches a lost one (the entry would stay resident with no
 // record able to unlink it — or be unlinked twice and over-count); Close
 // proves Live() == 0 either way.
+//
+// Each worker churns at least 4,000 operations, then keeps churning,
+// yielding between operations, until every faulted point has been hit
+// minHits times or a deadline passes. A fixed operation count alone left
+// coverage to the scheduler: six workers that never block can keep the
+// 1 ms sweeper off two CPUs for their whole run, and cache.sweep.op then
+// saw 0 or 1 hits — too few for a crash to fire under seed 7, whose
+// first firing hit there is hit 1 (1 run in 20 failed the coverage check
+// below).
 func TestCacheCrashAtWeakRefPoints(t *testing.T) {
+	const minOps, minHits = 4000, 8
 	cases := []struct {
 		name   string
 		faults map[string]chaos.Fault
@@ -98,13 +110,30 @@ func TestCacheCrashAtWeakRefPoints(t *testing.T) {
 			c := New(Config{ExpectedKeys: 512, Capacity: 128, MaxProcs: 32,
 				SweepInterval: time.Millisecond, DebugChecks: true})
 			c.StartSweeper()
+			var points []*chaos.Point
+			for name := range tc.faults {
+				points = append(points, chaos.New(name))
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			done := func(ops int) bool {
+				if ops < minOps {
+					return false
+				}
+				for _, p := range points {
+					if p.Hits() < minHits {
+						runtime.Gosched() // let the sweeper tick
+						return time.Now().After(deadline)
+					}
+				}
+				return true
+			}
 			const workers = 6
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					crashChurn(t, c, uint64(w+1), 4000)
+					crashChurn(t, c, uint64(w+1), done)
 				}(w)
 			}
 			wg.Wait()

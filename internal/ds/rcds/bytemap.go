@@ -402,8 +402,8 @@ func (t *hashThread) getVB(key uint64, dst []byte) ([]byte, bool) {
 // replaced value is the newest version at the moment the new cell was
 // published. No RetireValue anywhere: a versioned table's displaced
 // values stay reachable as history, and each cell's ref is freed by the
-// finalizer cascade when maintainVers trims the cell (or the entry
-// dies).
+// finalizer cascade when a later write's settle trims the cell (or the
+// entry dies).
 func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 	th := t.th
 	ref, err := t.putRef(val, true)
@@ -485,8 +485,7 @@ func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 			dst = t.b.vp.AppendTo(dst, headRef)
 		}
 		th.ReleaseSnapshot(&hs)
-		t.stampCellIn(e, cell)
-		t.maintainVers(e)
+		t.settle(e, cell)
 		t.releasePos(&pos)
 		return dst, !headTomb, nil
 	}

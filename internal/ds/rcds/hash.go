@@ -10,26 +10,32 @@ import (
 // an array of Harris-Michael bucket lists (Fig. 7b). On average a lookup
 // acquires a single snapshot pointer, which the paper observes makes this
 // workload the one where DRC matches or beats manual SMR outright.
+//
+// A key's bucket is the top log₂n bits of key·0x9E3779B97F4A7C15
+// (Fibonacci hashing), the same function as smrds.HashTable's, so the
+// Fig. 7b baselines share one layout. The top bits keep dense key ranges
+// spread out — n consecutive keys fill n buckets at most a few deep —
+// which is what keeps the average lookup at one node.
 type HashTable struct {
 	base      *listBase
 	snapshots bool
 	buckets   []core.AtomicRcPtr
-	mask      uint64
+	shift     uint          // 64 − log₂(len(buckets)): bucket keeps the product's top bits
 	vsrc      VersionSource // non-nil selects the versioned map paths (vers.go)
 }
 
 // NewHashTable creates a hash set with the given power-of-two-rounded
 // bucket count.
 func NewHashTable(buckets int, maxProcs int, snapshots bool) *HashTable {
-	n := 1
+	n, shift := 1, uint(64)
 	for n < buckets {
-		n <<= 1
+		n, shift = n<<1, shift-1
 	}
 	return &HashTable{
 		base:      newListBase("hash", maxProcs, snapshots),
 		snapshots: snapshots,
 		buckets:   make([]core.AtomicRcPtr, n),
-		mask:      uint64(n - 1),
+		shift:     shift,
 	}
 }
 
@@ -82,7 +88,7 @@ type hashThread struct {
 }
 
 func (h *HashTable) bucket(key uint64) *core.AtomicRcPtr {
-	return &h.buckets[(key*0x9E3779B97F4A7C15)>>32&h.mask]
+	return &h.buckets[(key*0x9E3779B97F4A7C15)>>h.shift]
 }
 
 // Insert implements ds.SetThread.

@@ -153,18 +153,54 @@ func (t *hashThread) stampCellIn(e *listNode, target core.RcPtr) {
 	th.ReleaseSnapshot(&cur)
 }
 
-// maintainVers help-stamps the newest cells and trims the superseded
-// tail: the first cell (from the head) with a fixed stamp ≤ MinActive is
-// the boundary — every active and future lease resolves at or above it —
-// and one StoreMove cuts everything older (the finalizer cascade
-// releases the cells). ma is read once up front: a cell stamped after
-// that read carries a stamp greater than every lease ts that was active
-// during the read, hence > ma, so it can never be mistaken for the
-// boundary.
-func (t *hashThread) maintainVers(e *listNode) {
+// chaosBeforeSettle sits between a writer's won prepend (putVB's version
+// cell, delV's tombstone) and its settle walk: a stall there lets
+// another writer prepend above the cell, so settle takes the fallback.
+// Stall-only: the writer's cell is published but its stamp is not fixed
+// yet, and a writer must not return (or die) before it is.
+var chaosBeforeSettle = chaos.New("rcds.vers.before-settle")
+
+// settle fixes the stamp of cell, which this writer just prepended to
+// e, and trims e's superseded tail, in one walk. While cell is still
+// the head (the common case) it stamps it and trims from it. With no
+// lease held the cell, stamped before maintainVers reads the clock, is
+// itself the boundary, so the walk visits one cell and cuts the rest.
+// When another writer got in first it falls back to stampCellIn, which
+// help-stamps the newer cells down to ours, and trims from the new head.
+func (t *hashThread) settle(e *listNode, cell core.RcPtr) {
+	chaosBeforeSettle.Fire()
 	th := t.th
-	ma := t.t.vsrc.MinActive()
-	cur := th.GetSnapshot(&e.Vers)
+	hs := th.GetSnapshot(&e.Vers)
+	if hs.Ptr().Unmarked() == cell.Unmarked() {
+		t.stampWord(th.DerefSnapshot(hs))
+	} else {
+		th.ReleaseSnapshot(&hs)
+		t.stampCellIn(e, cell)
+		hs = th.GetSnapshot(&e.Vers)
+	}
+	t.maintainVers(hs)
+}
+
+// maintainVers help-stamps the newest cells of a version chain, from cur
+// (a snapshot it releases), and trims the superseded tail: the first of
+// up to maintainDepth cells with a fixed stamp ≤ the horizon is the
+// boundary — every active and future lease resolves at or above it —
+// and one StoreMove cuts everything older (the finalizer cascade
+// releases the cells).
+//
+// The horizon, read once, is MinActive capped by the clock read just
+// before it. A lease that MinActive missed was claimed after the clock
+// read, so its ts is ≥ that clock value; a lease it saw has ts ≥
+// MinActive. A cell whose fixed stamp is ≤ both is thus ≤ every active
+// and future lease's ts, whenever it was stamped. The cap matters when
+// no lease is held: MinActive is then MaxUint64, and a cell stamped
+// during the walk — another writer's pending cell, stamped after a
+// lease drew its ts — would otherwise bound the trim and cut the
+// version that lease resolves to.
+func (t *hashThread) maintainVers(cur core.Snapshot) {
+	th := t.th
+	now := t.t.vsrc.Now()
+	ma := min(now, t.t.vsrc.MinActive())
 	for depth := 0; !cur.IsNil() && depth < maintainDepth; depth++ {
 		cn := th.DerefSnapshot(cur)
 		w := t.stampWord(cn)
@@ -384,8 +420,7 @@ func (t *hashThread) delV(key uint64) (bool, error) {
 			continue
 		}
 		th.ReleaseSnapshot(&hs)
-		t.stampCellIn(e, cell)
-		t.maintainVers(e)
+		t.settle(e, cell)
 		t.tryPurge(&pos, e)
 		t.releasePos(&pos)
 		return true, nil

@@ -16,7 +16,7 @@ import (
 // publishPending prepends an unstamped version cell to key's chain — a
 // tombstone when val is nil, else a cell carrying val — exactly as
 // putVB and delV publish one, and stops there, as a writer paused
-// between its publishing CAS and stampCellIn leaves it.
+// between its publishing CAS and its settle walk leaves it.
 func publishPending(t *testing.T, h *HashTable, key uint64, val []byte) {
 	t.Helper()
 	m := h.AttachMap().(*hashThread)
@@ -212,4 +212,172 @@ func TestLostPrependCASLinksNoCount(t *testing.T) {
 			checkByteQuiescence(t, h)
 		})
 	}
+}
+
+// TestSettleFallbackAfterStall covers the settle walk's fallback. A
+// writer whose prepend won stalls at rcds.vers.before-settle while
+// another handle writes the same key; the second writer's cell is then
+// the head, its settle trims the stalled writer's still-pending cell
+// below it, and the stalled writer's settle must find its cell no longer
+// the head, stamp down the chain and trim from the new head. Round 0
+// holds a lease taken before the stall, which must still resolve to the
+// version it saw. With no lease held, every resident key must end at
+// exactly its entry and one version cell, and every value slab must
+// belong to a resident key.
+func TestSettleFallbackAfterStall(t *testing.T) {
+	const keys, rounds = 3, 2
+	for _, op := range []string{"PutB", "DeleteV"} {
+		t.Run(op, func(t *testing.T) {
+			lp := snaplease.NewPool(3)
+			h := NewVersionedHashTable(8, 3, lp)
+			h.EnableByteValues(t.Name())
+			h.EnableDebugChecks()
+			stalled := h.AttachMap().(*hashThread)
+			writer := h.AttachMap().(*hashThread)
+			for r := uint64(0); r < rounds; r++ {
+				for k := uint64(1); k <= keys; k++ {
+					before := bval(k, 3*r, 64)
+					if _, _, err := writer.PutB(k, before, nil); err != nil {
+						t.Fatal(err)
+					}
+					var ls snaplease.Lease
+					if r == 0 {
+						var ok bool
+						if ls, ok = lp.Acquire(writer.th.ProcID()); !ok {
+							t.Fatal("lease")
+						}
+					}
+					// Only hit 0 fires: the stalled handle's settle.
+					chaos.Enable(chaos.Config{Seed: 1, Faults: map[string]chaos.Fault{
+						"rcds.vers.before-settle": {Every: 1 << 62, Sleep: 100 * time.Millisecond},
+					}})
+					done := make(chan error, 1)
+					go func() {
+						defer func() {
+							if v := recover(); v != nil {
+								done <- fmt.Errorf("stalled %s panicked: %v", op, v)
+							}
+						}()
+						var err error
+						if op == "PutB" {
+							_, _, err = stalled.PutB(k, bval(k, 3*r+1, 64), nil)
+						} else {
+							_, err = stalled.DeleteV(k)
+						}
+						done <- err
+					}()
+					for chaosBeforeSettle.Hits() == 0 {
+						runtime.Gosched()
+					}
+					after := bval(k, 3*r+2, 64)
+					if _, existed, err := writer.PutB(k, after, nil); err != nil {
+						t.Fatal(err)
+					} else if existed != (op == "PutB") {
+						t.Fatalf("key %d round %d: PutB over the stalled %s reports existed=%v", k, r, op, existed)
+					}
+					if err := <-done; err != nil {
+						t.Fatal(err)
+					}
+					hits := chaosBeforeSettle.Hits()
+					chaos.Disable()
+					if hits != 2 {
+						t.Fatalf("key %d round %d: %d settles, want 2 (stalled, writer)", k, r, hits)
+					}
+					if got, found := writer.GetB(k, nil); !found || !bytes.Equal(got, after) {
+						t.Fatalf("key %d round %d: GetB found=%v with %d bytes, want the last write's %d", k, r, found, len(got), len(after))
+					}
+					if ls.Valid() {
+						if got, found := writer.GetAtB(ls.TS(), k, nil); !found || !bytes.Equal(got, before) {
+							t.Fatalf("key %d: lease taken before the stall reads found=%v with %d bytes, want its own version's %d",
+								k, found, len(got), len(before))
+						}
+						ls.Release(writer.th.ProcID())
+					}
+				}
+			}
+			// Round 0's lease kept history; one more write per key, with
+			// no lease held, trims each chain to its head.
+			for k := uint64(1); k <= keys; k++ {
+				if _, _, err := writer.PutB(k, bval(k, 3*rounds, 64), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				stalled.Flush()
+				writer.Flush()
+			}
+			if n := h.LiveNodes(); n != 2*keys {
+				t.Fatalf("LiveNodes = %d at quiescence, want exactly 2 per resident key (%d keys)", n, keys)
+			}
+			if n := h.ByteValues().Live(); n != keys {
+				t.Fatalf("ValueSlabsLive = %d at quiescence, want exactly one per resident key (%d)", n, keys)
+			}
+			stalled.Detach()
+			writer.Detach()
+			checkByteQuiescence(t, h)
+		})
+	}
+}
+
+// hookSource is a VersionSource over a lease pool that runs onMin, once,
+// inside the next MinActive call, after the pool has answered.
+type hookSource struct {
+	*snaplease.Pool
+	onMin func()
+}
+
+func (s *hookSource) MinActive() uint64 {
+	ma := s.Pool.MinActive()
+	if f := s.onMin; f != nil {
+		s.onMin = nil
+		f()
+	}
+	return ma
+}
+
+// TestTrimHorizonCappedByClock is the regression test for the trim
+// bound. A trim that reads MinActive while no lease is held gets
+// MaxUint64; if a lease is granted right after, while the chain's head
+// is another writer's pending cell, the trim stamps that cell past the
+// lease's ts, so the cell must not bound the trim — the version beneath
+// it is the one the lease resolves to. Capping the horizon by the clock
+// read before MinActive keeps that version; bounded by MinActive alone,
+// the trim cut it and the lease read the key as absent.
+func TestTrimHorizonCappedByClock(t *testing.T) {
+	vs := &hookSource{Pool: snaplease.NewPool(2)}
+	h := NewVersionedHashTable(8, 3, vs)
+	h.EnableByteValues(t.Name())
+	h.EnableDebugChecks()
+	m := h.AttachMap().(*hashThread)
+	v1, v2 := bval(1, 1, 64), bval(1, 2, 64)
+	if _, _, err := m.PutB(1, v1, nil); err != nil {
+		t.Fatal(err)
+	}
+	publishPending(t, h, 1, v2)
+	var ls snaplease.Lease
+	vs.onMin = func() {
+		var ok bool
+		if ls, ok = vs.Acquire(0); !ok {
+			t.Fatal("lease")
+		}
+	}
+	pos := m.search(h.bucket(1), 1)
+	if !pos.found {
+		t.Fatal("key 1 absent")
+	}
+	m.maintainVers(m.th.GetSnapshot(&m.deref(pos.curSnap, pos.curRc).Vers))
+	m.releasePos(&pos)
+	if !ls.Valid() {
+		t.Fatal("the trim never read MinActive")
+	}
+	if got, found := m.GetAtB(ls.TS(), 1, nil); !found || !bytes.Equal(got, v1) {
+		t.Errorf("lease granted mid-trim reads found=%v with %d bytes, want the version written before it (%d bytes)",
+			found, len(got), len(v1))
+	}
+	if got, found := m.GetB(1, nil); !found || !bytes.Equal(got, v2) {
+		t.Errorf("GetB found=%v with %d bytes, want the pending write's %d", found, len(got), len(v2))
+	}
+	ls.Release(0)
+	m.Detach()
+	checkByteQuiescence(t, h)
 }

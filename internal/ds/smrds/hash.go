@@ -9,24 +9,26 @@ import (
 
 // HashTable is Michael's lock-free hash table (SPAA 2002): an array of
 // Harris-Michael list buckets, the structure of Fig. 7b. The paper sizes
-// buckets for an average load factor of 1.
+// buckets for an average load factor of 1. A key's bucket is the top
+// log₂n bits of key·0x9E3779B97F4A7C15, as in rcds.HashTable, so the
+// baselines share one bucket layout and dense keys stay spread out.
 type HashTable struct {
 	base    *listBase
 	buckets []atomic.Uint64
-	mask    uint64
+	shift   uint // 64 − log₂(len(buckets)): bucket keeps the product's top bits
 }
 
 // NewHashTable creates a hash set with the given power-of-two-rounded
 // bucket count, reclaimed by the given smr scheme.
 func NewHashTable(kind smr.Kind, buckets int, maxProcs int) *HashTable {
-	n := 1
+	n, shift := 1, uint(64)
 	for n < buckets {
-		n <<= 1
+		n, shift = n<<1, shift-1
 	}
 	return &HashTable{
 		base:    newListBase(kind, "hash", maxProcs),
 		buckets: make([]atomic.Uint64, n),
-		mask:    uint64(n - 1),
+		shift:   shift,
 	}
 }
 
@@ -50,7 +52,7 @@ type hashThread struct {
 }
 
 func (h *HashTable) bucket(key uint64) *atomic.Uint64 {
-	return &h.buckets[(key*0x9E3779B97F4A7C15)>>32&h.mask]
+	return &h.buckets[(key*0x9E3779B97F4A7C15)>>h.shift]
 }
 
 // Insert implements ds.SetThread.

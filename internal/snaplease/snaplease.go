@@ -19,6 +19,14 @@
 // conservatively treats it as timestamp 0) or the slot was claimed after
 // the scan — in which case its timestamp is at least the clock value the
 // trimmer already observed, and nothing the trimmer cut was needed.
+//
+// The pool also counts claimed-or-pending leases, so that MinActive
+// answers MaxUint64 without a scan while no lease is held — the common
+// case for a write-heavy table, which trims on every write. The count is
+// raised before the slot CAS and lowered after the slot clear, so it
+// covers every slot the scan could see non-zero: a zero count at the
+// read means no slot was claimed then, and a claim that follows it
+// stamps its lease from a later clock value, exactly as above.
 package snaplease
 
 import (
@@ -49,9 +57,11 @@ const DefaultLeases = 64
 
 // Pool is a fixed-size pool of version leases over one clock. All
 // methods are safe for concurrent use; Acquire and Release are
-// lock-free, MinActive is a wait-free scan.
+// lock-free, MinActive is one load while no lease is held and a
+// wait-free scan otherwise.
 type Pool struct {
 	clock atomic.Uint64
+	held  atomic.Int64    // leases claimed or mid-claim (see the package comment)
 	slots []atomic.Uint64 // 0 = free, pendingTS = claiming, else the lease ts
 }
 
@@ -89,6 +99,7 @@ func (l Lease) Valid() bool { return l.p != nil }
 // every slot is held — the caller's backpressure signal. procID shards
 // the obs counters.
 func (p *Pool) Acquire(procID int) (Lease, bool) {
+	p.held.Add(1) // before any claim, so MinActive's fast path sees it
 	for i := range p.slots {
 		if p.slots[i].CompareAndSwap(0, pendingTS) {
 			ts := p.clock.Add(1) - 1
@@ -97,6 +108,7 @@ func (p *Pool) Acquire(procID int) (Lease, bool) {
 			return Lease{p: p, idx: int32(i), ts: ts, t0: time.Now().UnixNano()}, true
 		}
 	}
+	p.held.Add(-1)
 	obsShed.Inc(procID)
 	return Lease{}, false
 }
@@ -111,6 +123,7 @@ func (l *Lease) Release(procID int) {
 		obsAgeNs.Observe(uint64(time.Now().UnixNano() - l.t0))
 	}
 	l.p.slots[l.idx].Store(0)
+	l.p.held.Add(-1) // after the clear (see the package comment)
 	l.p = nil
 }
 
@@ -123,7 +136,11 @@ func (p *Pool) Now() uint64 { return p.clock.Load() }
 // MinActive returns the smallest timestamp any active lease may hold
 // (MaxUint64 when none are active): versions superseded at or before it
 // are safe to trim. A pending claim forces the conservative answer 0.
+// With no lease held it returns without scanning the slots.
 func (p *Pool) MinActive() uint64 {
+	if p.held.Load() == 0 {
+		return math.MaxUint64
+	}
 	min := uint64(math.MaxUint64)
 	for i := range p.slots {
 		switch ts := p.slots[i].Load(); {

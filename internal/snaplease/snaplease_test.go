@@ -108,3 +108,63 @@ func TestLeaseConcurrent(t *testing.T) {
 		t.Fatalf("Active = %d after quiescence, want 0", p.Active())
 	}
 }
+
+// TestMinActiveHorizonUnderChurn races the held-lease count behind
+// MinActive's no-scan path: goroutines churn Acquire/Release, so the
+// count keeps crossing zero, while checkers take leases of their own and
+// assert MinActive never exceeds the TS of a lease they hold. At
+// quiescence the fast path must answer MaxUint64, and a claim left
+// pending must force the conservative 0.
+func TestMinActiveHorizonUnderChurn(t *testing.T) {
+	p := NewPool(8)
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3000; i++ {
+				if l, ok := p.Acquire(0); ok {
+					l.Release(0)
+				}
+			}
+		}()
+	}
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				l, ok := p.Acquire(0)
+				if !ok {
+					continue
+				}
+				for j := 0; j < 4; j++ {
+					if ma := p.MinActive(); ma > l.TS() {
+						t.Errorf("MinActive = %d exceeds held lease ts %d", ma, l.TS())
+						l.Release(0)
+						return
+					}
+				}
+				l.Release(0)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := p.held.Load(); n != 0 {
+		t.Fatalf("held count = %d at quiescence, want 0", n)
+	}
+	if ma := p.MinActive(); ma != math.MaxUint64 {
+		t.Fatalf("MinActive = %d at quiescence, want MaxUint64", ma)
+	}
+	// A claim in progress: counted, slot published, clock not yet read.
+	p.held.Add(1)
+	p.slots[3].Store(pendingTS)
+	if ma := p.MinActive(); ma != 0 {
+		t.Fatalf("MinActive = %d with a claim pending, want 0", ma)
+	}
+	p.slots[3].Store(0)
+	p.held.Add(-1)
+	if p.Active() != 0 {
+		t.Fatalf("Active = %d after quiescence, want 0", p.Active())
+	}
+}

@@ -149,6 +149,20 @@ go test -race -count 3 -run 'CrossProcChurnCountsExact|StatsOccupancy' ./interna
 go test -race -count 3 -run 'DeferredSumsExactAcrossUnregisterAndAdoption|AbandonedRetiredListAdoptedBySurvivors' ./internal/acqret
 go test -race -count 3 -run 'LostPrependCASLinksNoCount|PendingHeadStampedByDecider' ./internal/ds/rcds
 
+# Hash spread and version settle regression pass (DESIGN.md §3, §10): the
+# bucket index spreads dense keys, Fig. 7b's prefill and each server
+# shard's keys with chains of at most 3 in both hash tables; a versioned
+# write whose settle walk finds another writer's cell at the head falls
+# back to stamping down the chain and still trims to one cell per key;
+# the trim horizon is capped by the clock, so a lease granted mid-trim
+# keeps its version; and the lease pool's held count keeps MinActive at
+# or below every held lease while it skips the scan when idle. Already
+# in the ./... sweep; repeated under the race detector to keep the
+# regressions named and re-runnable.
+echo "==> hash spread and version settle regression pass (race, count 3)"
+go test -race -count 3 -run 'HashBucketSpread|SettleFallbackAfterStall|TrimHorizonCappedByClock' ./internal/ds/rcds ./internal/ds/smrds
+go test -race -count 3 -run 'MinActiveHorizonUnderChurn' ./internal/snaplease
+
 echo "==> chaos soak (10s, seed 1, 2 simulated crashes per configuration)"
 go run ./cmd/cdrc-stress -duration 10s -chaos -chaos-seed 1 -crash-workers 2
 
