@@ -68,8 +68,8 @@ func runCache(fail func(string, ...any), p cacheParams) {
 				Seed:        p.chaosSeed,
 				CrashBudget: p.crashWk,
 				Faults: map[string]chaos.Fault{
-					// Cache-safe crash points ONLY (internal/cache's crash
-					// model): the worker op boundary and the three cache
+					// Cache-safe crash points ONLY (collections.Cache's
+					// crash model): the worker op boundary and the three cache
 					// points where the handle holds zero counted refs and
 					// every popped index record is parked for adoption.
 					// core.snapshot.* crashes are NOT safe here — a dying

@@ -1,4 +1,4 @@
-package cache
+package collections
 
 import (
 	"testing"
@@ -13,14 +13,14 @@ import (
 // An uncapped shard keeps the ExpectedKeys sizing.
 func TestCappedShardSizedByCapacity(t *testing.T) {
 	const capSlots = 256
-	c := New(Config{ExpectedKeys: 1 << 14, Capacity: capSlots, DebugChecks: true})
+	c := NewCache(CacheConfig{ExpectedKeys: 1 << 14, Capacity: capSlots, DebugChecks: true})
 	if got := c.idx.cap(); got != indexPerEntry*capSlots {
 		t.Fatalf("ring holds %d records, want %d × Capacity = %d", got, indexPerEntry, indexPerEntry*capSlots)
 	}
 	if got := c.t.Buckets(); got > capSlots {
 		t.Fatalf("hash table has %d buckets for a %d-entry cap", got, capSlots)
 	}
-	hs := [2]*Handle{c.Attach(), c.Attach()}
+	hs := [2]*CacheHandle{c.Attach(), c.Attach()}
 	var dst []byte
 	r := uint64(1)
 	for i := 0; i < 40*capSlots; i++ {
@@ -50,7 +50,7 @@ func TestCappedShardSizedByCapacity(t *testing.T) {
 	identityOrFail(t, c)
 	closeOrFail(t, c)
 
-	u := New(Config{ExpectedKeys: 1000})
+	u := NewCache(CacheConfig{ExpectedKeys: 1000})
 	if got := u.idx.cap(); got != 4096 {
 		t.Fatalf("uncapped ring holds %d records, want 4 × ExpectedKeys rounded up = 4096", got)
 	}
@@ -70,7 +70,7 @@ func TestInsertAtCapacityFlushesOnce(t *testing.T) {
 		t.Skip("obs counters compiled out")
 	}
 	const capSlots = 512
-	c := New(Config{ExpectedKeys: 1 << 12, Capacity: capSlots})
+	c := NewCache(CacheConfig{ExpectedKeys: 1 << 12, Capacity: capSlots})
 	h := c.Attach()
 	key := uint64(0)
 	for ; key < 2*capSlots; key++ { // fill past the cap

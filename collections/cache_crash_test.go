@@ -1,4 +1,4 @@
-package cache
+package collections
 
 import (
 	"runtime"
@@ -107,7 +107,7 @@ func TestCacheCrashAtWeakRefPoints(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			chaos.Enable(chaos.Config{Seed: 7, CrashBudget: 8, Faults: tc.faults})
-			c := New(Config{ExpectedKeys: 512, Capacity: 128, MaxProcs: 32,
+			c := NewCache(CacheConfig{ExpectedKeys: 512, Capacity: 128, MaxProcs: 32,
 				SweepInterval: time.Millisecond, DebugChecks: true})
 			c.StartSweeper()
 			var points []*chaos.Point
@@ -154,7 +154,7 @@ func TestCacheCrashAtWeakRefPoints(t *testing.T) {
 // a handle that dies holding popped-unconsumed records must hand them
 // back to the index, so a survivor can still evict those entries.
 func TestCacheAbandonReindexesInflight(t *testing.T) {
-	c := New(Config{ExpectedKeys: 64, DebugChecks: true})
+	c := NewCache(CacheConfig{ExpectedKeys: 64, DebugChecks: true})
 	h := c.Attach()
 	for k := uint64(0); k < 8; k++ {
 		if _, _, err := h.SetEx(k, u64b(k), 0, nil); err != nil {

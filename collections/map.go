@@ -73,11 +73,6 @@ func (m *Map) Unreclaimed() int64 { return m.t.Unreclaimed() }
 // backpressure instead of allocating; see MapHandle.Put.
 func (m *Map) SetArenaCapacity(slots uint64) { m.t.SetCapacity(slots) }
 
-// SetValueCapacity caps each value size class at the given slab count (0
-// removes the cap). Beyond it Put reports the same backpressure as an
-// exhausted node arena.
-func (m *Map) SetValueCapacity(slots uint64) { m.t.ByteValues().SetCapacity(slots) }
-
 // ValueSlabsLive reports currently allocated value slabs (diagnostics).
 func (m *Map) ValueSlabsLive() int64 { return m.t.ByteValues().Live() }
 

@@ -1,9 +1,9 @@
-package cache
+package collections
 
 import (
 	"sync/atomic"
 
-	"cdrc/internal/ds"
+	"cdrc/internal/ds/rcds"
 )
 
 // ring is the eviction index: a bounded MPMC queue (Vyukov's array queue)
@@ -53,7 +53,7 @@ func (r *ring) len() int {
 
 // push appends a record; false means the ring is full and the caller must
 // pop a victim before retrying.
-func (r *ring) push(ref ds.CacheRef) bool {
+func (r *ring) push(ref rcds.CacheRef) bool {
 	for {
 		pos := r.tail.Load()
 		s := &r.slot[pos&r.mask]
@@ -73,7 +73,7 @@ func (r *ring) push(ref ds.CacheRef) bool {
 }
 
 // pop removes the oldest record; false means the ring is empty.
-func (r *ring) pop() (ds.CacheRef, bool) {
+func (r *ring) pop() (rcds.CacheRef, bool) {
 	for {
 		pos := r.head.Load()
 		s := &r.slot[pos&r.mask]
@@ -81,12 +81,12 @@ func (r *ring) pop() (ds.CacheRef, bool) {
 		switch {
 		case dif == 0:
 			if r.head.CompareAndSwap(pos, pos+1) {
-				ref := ds.CacheRef{Key: s.key, Word: s.word}
+				ref := rcds.CacheRef{Key: s.key, Word: s.word}
 				s.seq.Store(pos + r.mask + 1)
 				return ref, true
 			}
 		case dif < 0:
-			return ds.CacheRef{}, false
+			return rcds.CacheRef{}, false
 		}
 	}
 }

@@ -286,15 +286,12 @@ func (t *bstThread) Insert(key uint64) bool {
 		// Allocate the new leaf before the internal node so a failure of
 		// either can release exactly what has been minted so far.
 		leafInit := func(nl *bstNode) { nl.Key = newLeafKey }
-		newLeaf, err := th.TryNewRc(leafInit)
+		newLeaf, err := newRc(th, leafInit)
 		if err != nil {
-			th.Flush() // recycle deferred slots, then retry once
-			if newLeaf, err = th.TryNewRc(leafInit); err != nil {
-				obsAllocDrop.Inc(th.ProcID())
-				th.Release(leafOwned)
-				t.releaseSeek(&sr)
-				return false
-			}
+			obsAllocDrop.Inc(th.ProcID())
+			th.Release(leafOwned)
+			t.releaseSeek(&sr)
+			return false
 		}
 		niInit := func(ni *bstNode) {
 			ni.Key = niKey
@@ -306,16 +303,13 @@ func (t *bstThread) Insert(key uint64) bool {
 				ni.right.Init(leafOwned)
 			}
 		}
-		n, err := th.TryNewRc(niInit)
+		n, err := newRc(th, niInit)
 		if err != nil {
-			th.Flush()
-			if n, err = th.TryNewRc(niInit); err != nil {
-				obsAllocDrop.Inc(th.ProcID())
-				th.Release(leafOwned)
-				th.Release(newLeaf)
-				t.releaseSeek(&sr)
-				return false
-			}
+			obsAllocDrop.Inc(th.ProcID())
+			th.Release(leafOwned)
+			th.Release(newLeaf)
+			t.releaseSeek(&sr)
+			return false
 		}
 		expected := sr.leaf.ptr().Unmarked()
 		if th.CompareAndSwapMove(addr, expected, n) {

@@ -5,7 +5,6 @@ import (
 
 	"cdrc/internal/arena"
 	"cdrc/internal/core"
-	"cdrc/internal/ds"
 )
 
 // Byte-valued map operations (DESIGN.md §13). Map, cache and versioned
@@ -220,11 +219,17 @@ func (t *hashThread) walk(limit int, fn func(key uint64, val []byte) bool,
 
 // --- cache tables ---------------------------------------------------------
 
-// PutExB implements ds.CacheThread.
-func (t *hashThread) PutExB(key uint64, val []byte, exp, now uint64, dst []byte) (old []byte, existed bool, ref ds.CacheRef, reaped int, err error) {
+// PutExB binds key to val's bytes with expiry deadline exp (0 = no TTL).
+// When the key was present AND live, the old bytes are appended to dst
+// with existed == true and ref is zero (the index record of the reused
+// node stays valid). On a fresh link, ref carries the weak reference the
+// caller must hand to the eviction index. reaped counts expired nodes
+// this call unlinked along the way (attribute them to expiry). A non-nil
+// error is arena backpressure: nothing was stored.
+func (t *hashThread) PutExB(key uint64, val []byte, exp, now uint64, dst []byte) (old []byte, existed bool, ref CacheRef, reaped int, err error) {
 	vref, err := t.putRef(val, false)
 	if err != nil {
-		return dst, false, ds.CacheRef{}, 0, err
+		return dst, false, CacheRef{}, 0, err
 	}
 	head := t.t.bucket(key)
 	for {
@@ -255,7 +260,7 @@ func (t *hashThread) PutExB(key uint64, val []byte, exp, now uint64, dst []byte)
 				t.th.RetireValue(oldW)
 			}
 			t.releasePos(&pos)
-			return dst, true, ds.CacheRef{}, reaped, nil
+			return dst, true, CacheRef{}, reaped, nil
 		}
 		linked, w, lerr := t.tryLinkCache(&pos, key, vref, exp)
 		if linked {
@@ -264,15 +269,17 @@ func (t *hashThread) PutExB(key uint64, val []byte, exp, now uint64, dst []byte)
 		t.releasePos(&pos)
 		if lerr != nil {
 			t.dropRef(vref)
-			return dst, false, ds.CacheRef{}, reaped, lerr
+			return dst, false, CacheRef{}, reaped, lerr
 		}
 		if linked {
-			return dst, false, ds.CacheRef{Key: key, Word: w.Word()}, reaped, nil
+			return dst, false, CacheRef{Key: key, Word: w.Word()}, reaped, nil
 		}
 	}
 }
 
-// GetExB implements ds.CacheThread.
+// GetExB appends key's bytes to dst if present and live, stamping the
+// clock referenced bit. A non-zero newExp also replaces the deadline
+// (GETEX's TTL touch). reaped counts lazily-expired unlinks.
 func (t *hashThread) GetExB(key, newExp, now uint64, dst []byte) ([]byte, bool, int) {
 	head := t.t.bucket(key)
 	reaped := 0
@@ -308,7 +315,7 @@ func (t *hashThread) GetExB(key, newExp, now uint64, dst []byte) ([]byte, bool, 
 	}
 }
 
-// ScanLiveB implements ds.CacheThread: ScanB restricted to unexpired
+// ScanLiveB is ScanB restricted to present-and-live (unexpired)
 // entries.
 func (t *hashThread) ScanLiveB(now uint64, limit int, fn func(key uint64, val []byte) bool) int {
 	return t.walk(limit, fn, func(nd *listNode, dst []byte) ([]byte, bool) {
@@ -458,16 +465,13 @@ func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 			nd.next.Init(hs.Ptr())
 			nd.Vers.Init(core.NilRcPtr)
 		}
-		cell, aerr := th.TryNewRc(init)
+		cell, aerr := newRc(th, init)
 		if aerr != nil {
-			th.Flush()
-			if cell, aerr = th.TryNewRc(init); aerr != nil {
-				obsAllocDrop.Inc(th.ProcID())
-				th.ReleaseSnapshot(&hs)
-				t.releasePos(&pos)
-				t.dropRef(ref)
-				return dst, false, aerr
-			}
+			obsAllocDrop.Inc(th.ProcID())
+			th.ReleaseSnapshot(&hs)
+			t.releasePos(&pos)
+			t.dropRef(ref)
+			return dst, false, aerr
 		}
 		if !t.prepend(e, hs.Ptr(), cell) {
 			// Unpublished cell: strip its Val so the finalizer leaves our

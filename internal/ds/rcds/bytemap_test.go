@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"cdrc/internal/chaos"
-	"cdrc/internal/ds"
 	"cdrc/internal/snaplease"
 	"cdrc/internal/vals"
 )
@@ -316,7 +315,7 @@ func TestByteCache(t *testing.T) {
 	if _, hit, _ := c.GetExB(3, 0, now+300, nil); hit {
 		t.Fatal("expired entry still hit")
 	}
-	if c.EvictStep(ref, now+300) != ds.EvictGone {
+	if c.EvictStep(ref, now+300) != EvictGone {
 		t.Fatal("index ref should observe the reaped entry as gone")
 	}
 	c.Reap(3)
@@ -428,7 +427,7 @@ func TestScanWalk(t *testing.T) {
 			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
 				c := h.AttachCache()
 				want := map[uint64][]byte{}
-				var refs []ds.CacheRef
+				var refs []CacheRef
 				for k := uint64(1); k <= keys; k++ {
 					v := bval(k, 2, 300)
 					exp := uint64(0)

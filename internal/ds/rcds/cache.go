@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"cdrc/internal/core"
-	"cdrc/internal/ds"
 )
 
 // EntryBytes is the in-arena payload size of one cache entry node, for
@@ -41,11 +40,51 @@ func ExpLive(exp, now uint64) bool {
 	return d == 0 || d > now
 }
 
+// CacheThread is a per-worker context on a cache table: the map
+// operations plus TTL-stamped writes, clock eviction over weak
+// references, and lazy expiry. All deadlines are absolute monotonic
+// nanoseconds; now is the caller's current reading of that clock. Not
+// safe for concurrent use.
+type CacheThread = hashThread
+
 // AttachCache registers the calling goroutine for cache operations. Any
 // hash table with a value plane supports them (it panics otherwise, as
 // AttachMap); the caller is responsible for routing every fresh-link
 // CacheRef into its eviction index.
-func (h *HashTable) AttachCache() ds.CacheThread { return h.attachValued() }
+func (h *HashTable) AttachCache() *CacheThread { return h.attachValued() }
+
+// CacheRef is an eviction-index record: a key plus a flattened weak
+// reference (core.WeakPtr.Word) to the entry node. The record owns one
+// weak-count unit; it must be consumed by exactly one EvictStep,
+// SweepStep or DropRef call. Because the weak unit pins the arena slot
+// against reuse, Key always matches the node the word resolves to.
+type CacheRef struct {
+	Key  uint64
+	Word uint64
+}
+
+// EvictOutcome reports what EvictStep or SweepStep did with a CacheRef.
+type EvictOutcome int
+
+const (
+	// EvictGone: the entry was already unlinked (deleted, expired, or
+	// evicted by someone else, who counted it); the ref was consumed.
+	EvictGone EvictOutcome = iota
+
+	// EvictSpare: EvictStep found the clock referenced bit set and
+	// cleared it (second chance), or SweepStep found the entry live. The
+	// ref is STILL OWNED by the caller, who must push it back into the
+	// index.
+	EvictSpare
+
+	// EvictExpired: the entry was past its deadline; this call unlinked
+	// it (count it as an expiry) and consumed the ref.
+	EvictExpired
+
+	// EvictEvicted: the entry was live; this call unlinked it for
+	// capacity (count it as an eviction) and consumed the ref.
+	EvictEvicted
+)
 
 // tryLinkCache is tryLink plus an Exp stamp and a weak reference to the
 // new node, minted under the pre-CAS strong reference so the index can
@@ -105,7 +144,9 @@ func (t *listThread) reapAt(pos *position, nextW core.RcPtr) bool {
 	return true
 }
 
-// ExpireAt implements ds.CacheThread.
+// ExpireAt replaces key's deadline (1 expires it immediately),
+// reporting whether the key was present and live; reaped counts
+// expired nodes this call unlinked.
 func (t *hashThread) ExpireAt(key, exp, now uint64) (bool, int) {
 	head := t.t.bucket(key)
 	reaped := 0
@@ -135,9 +176,9 @@ func (t *hashThread) ExpireAt(key, exp, now uint64) (bool, int) {
 	}
 }
 
-// DelEx implements ds.CacheThread: Delete with TTL semantics — deleting
-// an expired-but-linked entry reports absent (the unlink is an expiry,
-// not a delete).
+// DelEx is Delete with TTL semantics: it removes key, reporting whether
+// it was present and live. Deleting an expired-but-linked entry reports
+// absent and counts the unlink in reaped (an expiry, not a delete).
 func (t *hashThread) DelEx(key, now uint64) (bool, int) {
 	head := t.t.bucket(key)
 	reaped := 0
@@ -167,12 +208,29 @@ func (t *hashThread) DelEx(key, now uint64) (bool, int) {
 	}
 }
 
-// EvictStep implements ds.CacheThread. It deliberately performs no
-// snapshot acquisition and no physical unlink: every path the simulated
-// crash injector can interrupt sits outside this call, so the caller's
-// sequence is pop → (count by outcome) → Reap, with the record parked in
-// crash-adoptable storage across the whole step (internal/cache.Handle).
-func (t *hashThread) EvictStep(ref ds.CacheRef, now uint64) ds.EvictOutcome {
+// EvictStep resolves one index record against the entry it tracks: the
+// paper's machinery arbitrates the race with readers — a concurrent
+// reader's snapshot keeps the node's payload safe, and an Upgrade after
+// destruction fails. See EvictOutcome for who owns the ref afterwards.
+// It deliberately performs no snapshot acquisition and no physical
+// unlink: every path the simulated crash injector can interrupt sits
+// outside this call, so the caller's sequence is pop → (count by
+// outcome) → Reap, with the record parked in crash-adoptable storage
+// across the whole step (collections.CacheHandle).
+func (t *hashThread) EvictStep(ref CacheRef, now uint64) EvictOutcome {
+	return t.resolveRef(ref, now, false)
+}
+
+// SweepStep is EvictStep without the capacity half: only expired entries
+// are unlinked; a live one keeps its referenced bit and the outcome is
+// EvictSpare, so a background sweeper can rotate through the index
+// without evicting for capacity or degrading clock information.
+func (t *hashThread) SweepStep(ref CacheRef, now uint64) EvictOutcome {
+	return t.resolveRef(ref, now, true)
+}
+
+// resolveRef is EvictStep, or with sweep SweepStep.
+func (t *hashThread) resolveRef(ref CacheRef, now uint64, sweep bool) EvictOutcome {
 	th := t.th
 	w := core.WeakFromWord(ref.Word)
 	p := th.Upgrade(w)
@@ -181,7 +239,7 @@ func (t *hashThread) EvictStep(ref ds.CacheRef, now uint64) ds.EvictOutcome {
 		// unlinked it counted it. Drop the index's weak unit (the last
 		// one frees the slot — the single decision point).
 		th.ReleaseWeak(w)
-		return ds.EvictGone
+		return EvictGone
 	}
 	nd := th.Deref(p)
 	for {
@@ -189,62 +247,33 @@ func (t *hashThread) EvictStep(ref ds.CacheRef, now uint64) ds.EvictOutcome {
 		if nextW.HasMark(deletedMark) {
 			th.Release(p)
 			th.ReleaseWeak(w)
-			return ds.EvictGone
+			return EvictGone
 		}
 		exp := atomic.LoadUint64(&nd.Exp)
 		live := ExpLive(exp, now)
-		if live && exp&ExpRefBit != 0 {
-			// Second chance: recently referenced. Clear the bit; the
-			// caller keeps the ref and pushes it back.
-			atomic.AndUint64(&nd.Exp, ^ExpRefBit)
+		if live && (sweep || exp&ExpRefBit != 0) {
+			if !sweep {
+				// Second chance: recently referenced. Clear the bit;
+				// the caller keeps the ref and pushes it back.
+				atomic.AndUint64(&nd.Exp, ^ExpRefBit)
+			}
 			th.Release(p)
-			return ds.EvictSpare
+			return EvictSpare
 		}
 		if th.CompareAndSetMark(&nd.next, nextW, deletedMark) {
 			th.Release(p)
 			th.ReleaseWeak(w)
 			if live {
-				return ds.EvictEvicted
+				return EvictEvicted
 			}
-			return ds.EvictExpired
+			return EvictExpired
 		}
 		// The successor word moved (an insert landed after this node, or
 		// a racing deleter marked it); re-read and decide again.
 	}
 }
 
-// SweepStep implements ds.CacheThread: EvictStep without the capacity
-// half — only expired entries are unlinked, live ones keep their
-// referenced bit and stay in the index.
-func (t *hashThread) SweepStep(ref ds.CacheRef, now uint64) ds.EvictOutcome {
-	th := t.th
-	w := core.WeakFromWord(ref.Word)
-	p := th.Upgrade(w)
-	if p.IsNil() {
-		th.ReleaseWeak(w)
-		return ds.EvictGone
-	}
-	nd := th.Deref(p)
-	for {
-		nextW := nd.next.LoadRaw()
-		if nextW.HasMark(deletedMark) {
-			th.Release(p)
-			th.ReleaseWeak(w)
-			return ds.EvictGone
-		}
-		if ExpLive(atomic.LoadUint64(&nd.Exp), now) {
-			th.Release(p)
-			return ds.EvictSpare
-		}
-		if th.CompareAndSetMark(&nd.next, nextW, deletedMark) {
-			th.Release(p)
-			th.ReleaseWeak(w)
-			return ds.EvictExpired
-		}
-	}
-}
-
-// Reap implements ds.CacheThread: a plain helping search, so the
+// Reap is a plain helping search on key's chain, so the
 // logically-deleted node EvictStep left behind is physically unlinked and
 // its slot can recycle on the very next Flush.
 func (t *hashThread) Reap(key uint64) {
@@ -252,15 +281,19 @@ func (t *hashThread) Reap(key uint64) {
 	t.releasePos(&pos)
 }
 
-// DropRef implements ds.CacheThread.
-func (t *hashThread) DropRef(ref ds.CacheRef) {
+// DropRef consumes an index record without touching the entry (index
+// teardown).
+func (t *hashThread) DropRef(ref CacheRef) {
 	t.th.ReleaseWeak(core.WeakFromWord(ref.Word))
 }
 
-// Flush implements ds.CacheThread.
+// Flush applies this worker's currently-safe deferred decrements,
+// turning its own evictions into recyclable arena slots.
 func (t *hashThread) Flush() { t.th.Flush() }
 
-// Drain implements ds.CacheThread.
+// Drain is Flush plus returning this worker's private free-slot
+// magazines to the shared pool, for workers that free much more than
+// they allocate (the expiry sweeper).
 func (t *hashThread) Drain() {
 	t.th.Flush()
 	t.th.DrainArena()

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
-
-	"cdrc/internal/ds"
 )
 
 // u64b encodes a uint64 as an 8-byte little-endian value body, so the
@@ -32,7 +30,7 @@ const (
 	t1 = uint64(200)
 )
 
-func newCacheTable(t *testing.T) (*HashTable, ds.CacheThread) {
+func newCacheTable(t *testing.T) (*HashTable, *CacheThread) {
 	t.Helper()
 	h := NewHashTable(64, 8, true)
 	h.EnableByteValues(t.Name())
@@ -40,7 +38,7 @@ func newCacheTable(t *testing.T) (*HashTable, ds.CacheThread) {
 	return h, h.AttachCache()
 }
 
-func quiesce(t *testing.T, h *HashTable, th ds.CacheThread) {
+func quiesce(t *testing.T, h *HashTable, th *CacheThread) {
 	t.Helper()
 	th.Clear()
 	th.Drain()
@@ -88,7 +86,7 @@ func TestCacheExpiredReadReaps(t *testing.T) {
 		t.Fatalf("expired GetExB: hit=%v reaped=%d", hit, reaped)
 	}
 	// The index record now resolves to a dead entry.
-	if out := th.EvictStep(ref, t1); out != ds.EvictGone {
+	if out := th.EvictStep(ref, t1); out != EvictGone {
 		t.Fatalf("EvictStep after expiry reap = %v, want EvictGone", out)
 	}
 	quiesce(t, h, th)
@@ -101,11 +99,11 @@ func TestCacheEvictStepSecondChance(t *testing.T) {
 	if _, hit, _ := th.GetExB(1, 0, t0, nil); !hit {
 		t.Fatal("GetExB missed a live key")
 	}
-	if out := th.EvictStep(ref, t0); out != ds.EvictSpare {
+	if out := th.EvictStep(ref, t0); out != EvictSpare {
 		t.Fatalf("first EvictStep = %v, want EvictSpare", out)
 	}
 	// Bit now clear, entry cold: second step evicts.
-	if out := th.EvictStep(ref, t0); out != ds.EvictEvicted {
+	if out := th.EvictStep(ref, t0); out != EvictEvicted {
 		t.Fatalf("second EvictStep = %v, want EvictEvicted", out)
 	}
 	th.Reap(1)
@@ -118,7 +116,7 @@ func TestCacheEvictStepSecondChance(t *testing.T) {
 func TestCacheEvictStepExpired(t *testing.T) {
 	h, th := newCacheTable(t)
 	_, _, ref, _, _ := th.PutExB(1, u64b(10), t0+50, t0, nil)
-	if out := th.EvictStep(ref, t1); out != ds.EvictExpired {
+	if out := th.EvictStep(ref, t1); out != EvictExpired {
 		t.Fatalf("EvictStep past deadline = %v, want EvictExpired", out)
 	}
 	th.Reap(1)
@@ -160,7 +158,7 @@ func TestEvictSpareKeepsRef(t *testing.T) {
 		if _, hit, _ := th.GetExB(1, 0, t0, nil); !hit {
 			t.Fatalf("touch %d missed", i)
 		}
-		if out := th.EvictStep(ref, t0); out != ds.EvictSpare {
+		if out := th.EvictStep(ref, t0); out != EvictSpare {
 			t.Fatalf("EvictStep after touch %d = %v, want EvictSpare", i, out)
 		}
 	}
@@ -180,7 +178,7 @@ func TestCacheEvictRacesReaders(t *testing.T) {
 	h.EnableByteValues(t.Name())
 	h.EnableDebugChecks()
 	wr := h.AttachCache()
-	refs := make(chan ds.CacheRef, 4096)
+	refs := make(chan CacheRef, 4096)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -209,17 +207,17 @@ func TestCacheEvictRacesReaders(t *testing.T) {
 		defer th.Detach()
 		for ref := range refs {
 			out := th.EvictStep(ref, t0)
-			if out == ds.EvictSpare {
+			if out == EvictSpare {
 				// Cold it down and try to finish it now.
 				out = th.EvictStep(ref, t0)
 			}
 			switch out {
-			case ds.EvictSpare:
+			case EvictSpare:
 				// A reader touched it again: the ref is still ours
 				// (EvictStep kept it), and this evictor does not
 				// re-queue, so consume it.
 				th.DropRef(ref)
-			case ds.EvictEvicted, ds.EvictExpired:
+			case EvictEvicted, EvictExpired:
 				th.Reap(ref.Key)
 			}
 		}

@@ -27,6 +27,21 @@ import (
 // or injected fault); the name is shared with the rcscheme adapters.
 var obsAllocDrop = obs.NewCounter("rcscheme.alloc.drop")
 
+// newRc is th.TryNewRc that, on arena backpressure, flushes th's
+// deferred decrements once (recycling the slots they free) and retries.
+// On failure init never ran, so the caller still owns what it captured;
+// the caller releases that and counts the drop in obsAllocDrop. The
+// cache insert (tryLinkCache) does not use it: it evicts before it
+// flushes.
+func newRc[T any](th *core.Thread[T], init func(*T)) (core.RcPtr, error) {
+	p, err := th.TryNewRc(init)
+	if err != nil {
+		th.Flush()
+		p, err = th.TryNewRc(init)
+	}
+	return p, err
+}
+
 // deletedMark is the Harris deletion mark on a node's next word.
 const deletedMark = 0
 
@@ -274,15 +289,12 @@ func (t *listThread) tryLink(pos *position, key, val uint64) (bool, error) {
 		nd.next.Init(curOwned)
 		nd.Vers.Init(core.NilRcPtr) // recycled slots carry arena poison
 	}
-	n, err := th.TryNewRc(init)
+	n, err := newRc(th, init)
 	if err != nil {
-		th.Flush() // recycle deferred slots, then retry once
-		if n, err = th.TryNewRc(init); err != nil {
-			// Drop the insert: init never ran, so curOwned is still ours.
-			obsAllocDrop.Inc(th.ProcID())
-			th.Release(curOwned)
-			return false, err
-		}
+		// Drop the insert: init never ran, so curOwned is still ours.
+		obsAllocDrop.Inc(th.ProcID())
+		th.Release(curOwned)
+		return false, err
 	}
 	if th.CompareAndSwapMove(pos.prevLink, pos.cur(), n) {
 		return true, nil

@@ -283,13 +283,10 @@ func (t *hashThread) tryLinkV(pos *position, key, ref uint64) (bool, error) {
 		nd.next.Init(core.NilRcPtr)
 		nd.Vers.Init(core.NilRcPtr)
 	}
-	cell, err := th.TryNewRc(cinit)
+	cell, err := newRc(th, cinit)
 	if err != nil {
-		th.Flush()
-		if cell, err = th.TryNewRc(cinit); err != nil {
-			obsAllocDrop.Inc(th.ProcID())
-			return false, err
-		}
+		obsAllocDrop.Inc(th.ProcID())
+		return false, err
 	}
 	var curOwned core.RcPtr
 	if !pos.curSnap.IsNil() {
@@ -303,18 +300,15 @@ func (t *hashThread) tryLinkV(pos *position, key, ref uint64) (bool, error) {
 		nd.next.Init(curOwned)
 		nd.Vers.Init(cell)
 	}
-	en, err := th.TryNewRc(einit)
+	en, err := newRc(th, einit)
 	if err != nil {
-		th.Flush()
-		if en, err = th.TryNewRc(einit); err != nil {
-			obsAllocDrop.Inc(th.ProcID())
-			th.Release(curOwned)
-			// Unpublished: strip the cell's Val so the caller keeps its
-			// parked vals ref (see tryLink).
-			atomic.StoreUint64(&th.Deref(cell).Val, 0)
-			th.Release(cell)
-			return false, err
-		}
+		obsAllocDrop.Inc(th.ProcID())
+		th.Release(curOwned)
+		// Unpublished: strip the cell's Val so the caller keeps its
+		// parked vals ref (see tryLink).
+		atomic.StoreUint64(&th.Deref(cell).Val, 0)
+		th.Release(cell)
+		return false, err
 	}
 	if !th.CompareAndSwapMove(pos.prevLink, pos.cur(), en) {
 		atomic.StoreUint64(&th.Deref(cell).Val, 0)
@@ -380,11 +374,7 @@ func (t *hashThread) delV(key uint64) (bool, error) {
 			nd.next.Init(hs.Ptr())
 			nd.Vers.Init(core.NilRcPtr)
 		}
-		cell, aerr := th.TryNewRc(init)
-		if aerr != nil {
-			th.Flush()
-			cell, aerr = th.TryNewRc(init)
-		}
+		cell, aerr := newRc(th, init)
 		if aerr != nil {
 			// Allocation-free fallback: deleting must not require memory
 			// when nothing retains history, or a full arena could never be

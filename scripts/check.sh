@@ -68,11 +68,12 @@ go test -race -run FuzzPoolOps ./internal/arena
 # steady state at every size class including the chunk-chain overflow,
 # value churn must put <10% of a Go-heap control's pressure on the
 # collector, and the AllocsPerRun pins on the magazine-hit arena paths,
-# disabled obs counters, byte-map steady state, and warmed pipelined
-# server GETs must all hold. No race detector: the gate measures
+# disabled obs counters, byte-map steady state, warmed pipelined server
+# GETs, and a warm capped cache's GetEx, replacing SetEx and evicting
+# fresh SetEx must all hold. No race detector: the gate measures
 # allocations, and the detector allocates.
 echo "==> zero-GC value plane gate (alloc pins + GC pressure vs Go-heap control)"
-go test -count 1 -run 'LargeValueSweepZeroAlloc|ValueGCPressureVsControl' ./collections
+go test -count 1 -run 'LargeValueSweepZeroAlloc|ValueGCPressureVsControl|CacheWarmPathsZeroAlloc' ./collections
 go test -count 1 -run 'AllocFreeMagazineHitZeroAlloc|CounterIncZeroAlloc|AllocsPerRunSteadyState|ByteMapAllocsSteadyState|ServerGetZeroAlloc|FlushAllocFreeWhenWarm' \
     ./internal/arena ./internal/obs ./internal/vals ./internal/ds/rcds ./internal/server ./internal/core
 
@@ -225,7 +226,7 @@ go run -race ./cmd/cdrc-load -duration 3s -conns 4 -keys 1024 -scan-every 100 -s
 # re-runnable, all under the race detector.
 echo "==> cache regression pass (race: weak-ref crashes, TTL lincheck, eviction)"
 go test -race -count 1 -run 'Cache|CappedShardSizedByCapacity|InsertAtCapacityFlushesOnce' \
-    ./internal/cache ./internal/ds/rcds ./internal/server ./collections ./internal/lincheck
+    ./internal/ds/rcds ./internal/server ./collections ./internal/lincheck
 
 # Cache loopback soaks: the Zipf cache-aside scenario against a capped
 # arena. Gates: zero -BUSY from arena exhaustion (eviction must absorb
