@@ -295,7 +295,9 @@ func (c *Cache) CheckIdentity() error {
 	}
 	h := c.Attach()
 	defer h.Close()
-	resident := uint64(h.th.ScanB(-1, func(uint64, []byte) bool { return true }))
+	// Time 0 precedes every deadline (nowNanos is ≥ 1), so this counts
+	// every unmarked entry, expired-but-unreaped ones included.
+	resident := uint64(h.th.ScanLiveB(0, -1, func(uint64, []byte) bool { return true }))
 	s := c.Stats()
 	if s.Inserts != s.Evicts+s.Expires+s.Dels+resident {
 		return fmt.Errorf(

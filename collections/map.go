@@ -3,6 +3,7 @@ package collections
 import (
 	"cdrc/internal/ds"
 	"cdrc/internal/ds/rcds"
+	"cdrc/internal/snaplease"
 )
 
 // Map is a lock-free hash map from uint64 keys to variable-length byte
@@ -13,7 +14,9 @@ import (
 // size-class arena slabs (DESIGN.md §13), never on the Go heap, so the
 // data plane stays invisible to the garbage collector; values longer
 // than 4 KiB chain overflow chunks and may be up to vals.MaxLen (~4 MiB)
-// long. It is the storage engine behind internal/server and
+// long. Every write prepends an immutable version cell to its key's
+// chain (DESIGN.md §10), so a Map also answers point-in-time reads
+// (GetAt, ScanAt). It is the storage engine behind internal/server and
 // cmd/cdrc-serve.
 type Map struct {
 	t *rcds.HashTable
@@ -21,25 +24,24 @@ type Map struct {
 
 // NewMap creates a map sized for roughly expectedKeys resident entries
 // (load factor 1), usable by up to maxProcs concurrent handles (0 selects
-// the default bound).
+// the default bound). It is NewVersionedMap with a private one-lease
+// source that no caller can acquire from, so superseded versions are
+// trimmed on the next write and each resident key costs an entry node
+// plus one version cell. GetAt and ScanAt need a lease, so they are for
+// maps built with NewVersionedMap.
 func NewMap(expectedKeys, maxProcs int) *Map {
-	if expectedKeys < 16 {
-		expectedKeys = 16
-	}
-	t := rcds.NewHashTable(expectedKeys, maxProcs, true)
-	t.EnableByteValues("")
-	return &Map{t: t}
+	return NewVersionedMap(expectedKeys, maxProcs, snaplease.NewPool(1))
 }
 
 // VersionSource is the clock and retention oracle a versioned map trims
 // old versions against; internal/snaplease.Pool implements it.
 type VersionSource = rcds.VersionSource
 
-// NewVersionedMap creates a map whose writes are multi-versioned against
-// vs, adding GetAt/ScanAt point-in-time reads on MapHandle. While a
-// lease with timestamp ≥ v is active on vs, no version with stamp ≤ v is
-// trimmed, so a reader can resolve any number of keys "as of ts" while
-// holding only O(1) cdrc snapshots at a time.
+// NewVersionedMap creates a map whose versions are trimmed against vs.
+// While a lease with timestamp ≥ v is active on vs, no version with
+// stamp ≤ v is trimmed, so a reader can resolve any number of keys "as
+// of ts" (GetAt, ScanAt) while holding only O(1) cdrc snapshots at a
+// time. GetAt and ScanAt need a lease from vs itself.
 func NewVersionedMap(expectedKeys, maxProcs int, vs VersionSource) *Map {
 	if expectedKeys < 16 {
 		expectedKeys = 16
@@ -50,17 +52,7 @@ func NewVersionedMap(expectedKeys, maxProcs int, vs VersionSource) *Map {
 }
 
 // Attach registers the calling goroutine.
-func (m *Map) Attach() *MapHandle {
-	th := m.t.AttachMap()
-	h := &MapHandle{th: th}
-	if m.Versioned() {
-		h.vth = th.(ds.VersionedMapThread)
-	}
-	return h
-}
-
-// Versioned reports whether the map was built with NewVersionedMap.
-func (m *Map) Versioned() bool { return m.t.Versioned() }
+func (m *Map) Attach() *MapHandle { return &MapHandle{th: m.t.AttachMap()} }
 
 // LiveNodes reports currently allocated nodes (diagnostics).
 func (m *Map) LiveNodes() int64 { return m.t.LiveNodes() }
@@ -83,8 +75,7 @@ func (m *Map) EnableDebugChecks() { m.t.EnableDebugChecks() }
 // MapHandle is a per-goroutine view of a Map. Not safe for concurrent
 // use; operations on a closed handle panic.
 type MapHandle struct {
-	th  ds.MapThread
-	vth ds.VersionedMapThread // non-nil on versioned maps
+	th ds.VersionedMapThread
 }
 
 // Get appends key's current value to dst (which may be nil) and returns
@@ -105,29 +96,23 @@ func (h *MapHandle) Put(key uint64, val, dst []byte) (old []byte, existed bool, 
 }
 
 // Delete removes key, reporting whether it was present. A non-nil error
-// is arena backpressure on a versioned map (deletes there allocate a
-// tombstone version and the key remains bound); plain maps never err.
-func (h *MapHandle) Delete(key uint64) (bool, error) {
-	if h.vth != nil {
-		return h.vth.DeleteV(key)
-	}
-	return h.th.Delete(key), nil
-}
+// is arena backpressure: a delete allocates a tombstone version, and on
+// failure the key remains bound.
+func (h *MapHandle) Delete(key uint64) (bool, error) { return h.th.DeleteV(key) }
 
 // GetAt appends key's value as of version timestamp ts to dst; the
-// caller must hold a snaplease lease with TS ≥ ts. Panics on an
-// unversioned map.
+// caller must hold a lease with TS ≥ ts from the map's VersionSource.
 func (h *MapHandle) GetAt(ts, key uint64, dst []byte) ([]byte, bool) {
-	return h.vth.GetAtB(ts, key, dst)
+	return h.th.GetAtB(ts, key, dst)
 }
 
 // ScanAt visits up to limit entries as of ts (limit < 0 for all),
 // stopping early when fn returns false. Unlike Scan, the rows form one
 // atomic point-in-time snapshot across all keys. val is handle-owned
-// scratch, valid only until fn returns — copy to retain. Panics on an
-// unversioned map.
+// scratch, valid only until fn returns — copy to retain. The lease
+// rule is GetAt's.
 func (h *MapHandle) ScanAt(ts uint64, limit int, fn func(key uint64, val []byte) bool) int {
-	return h.vth.ScanAtB(ts, limit, fn)
+	return h.th.ScanAtB(ts, limit, fn)
 }
 
 // Scan visits up to limit live entries (limit < 0 for all), stopping
@@ -161,8 +146,6 @@ func (h *MapHandle) Abandon() {
 	if h.th == nil {
 		return
 	}
-	if a, ok := h.th.(interface{ Abandon() }); ok {
-		a.Abandon()
-	}
+	h.th.Abandon()
 	h.th = nil
 }

@@ -102,10 +102,10 @@ func TestMapBasics(t *testing.T) {
 
 // TestMapLinearizable records real concurrent Get/Put/Delete histories
 // and checks them against the sequential map model. The interesting
-// interleaving is a Put value-swap racing a Delete's mark: the Put must
-// linearize before the Delete (map.go's argument), and the checker
-// verifies exactly that on recorded schedules. Values travel as 8-byte
-// slabs and are decoded back for the model.
+// interleavings are a Put's version cell racing a Delete's tombstone
+// on one key's chain, and either racing the purge that unlinks a
+// tombstoned entry; the checker verifies them on recorded schedules.
+// Values travel as 8-byte slabs and are decoded back for the model.
 func TestMapLinearizable(t *testing.T) {
 	const rounds = 300
 	const workers = 3

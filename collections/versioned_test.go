@@ -31,15 +31,12 @@ func drainMap(t *testing.T, m *Map) {
 }
 
 // TestVersionedMapBasics exercises the versioned map single-threaded:
-// the plain API behaves like a map, and GetAt reads through leases see
+// the current-value API behaves like a map, and GetAt reads through leases see
 // exactly the values bound when the lease was granted.
 func TestVersionedMapBasics(t *testing.T) {
 	p := snaplease.NewPool(4)
 	m := NewVersionedMap(16, 2, p)
 	m.EnableDebugChecks()
-	if !m.Versioned() {
-		t.Fatal("Versioned() = false on a versioned map")
-	}
 	h := m.Attach()
 
 	if _, existed, err := h.Put(1, u64b(10), nil); existed || err != nil {

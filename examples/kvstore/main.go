@@ -2,9 +2,9 @@
 //
 // Earlier revisions of this example hand-built a copy-on-write hash table
 // directly on the cdrc core API; that machinery now lives in the library
-// as collections.Map (internal/ds/rcds map.go - Michael's hash table with
-// in-place atomic value replace), so the example shrank to what it should
-// teach: attach a handle per goroutine, use it, close it, and reclamation
+// as collections.Map (internal/ds/rcds - Michael's hash table whose
+// writes prepend a version cell to the key's chain), so the example
+// shrank to what it should teach: attach a handle per goroutine, use it, close it, and reclamation
 // is automatic. For the full service built on the same engine - sharding,
 // a TCP wire protocol, a fixed pool of shard handles with crash recovery,
 // and -BUSY backpressure - see internal/server and its cmd/cdrc-serve and
@@ -42,8 +42,9 @@ func main() {
 				switch rng >> 62 {
 				case 0:
 					// Tag values with their key so readers can detect
-					// corruption; Put replaces the value slab in place with
-					// an atomic swap of the handle word.
+					// corruption; Put publishes the value in a new version
+					// cell and the superseded one is reclaimed once no
+					// reader holds it.
 					binary.LittleEndian.PutUint64(vbuf[:], k<<32|uint64(i))
 					var err error
 					if dst, _, err = h.Put(k, vbuf[:], dst[:0]); err != nil {

@@ -20,11 +20,11 @@ type Set interface {
 	Unreclaimed() int64
 }
 
-// MapThread is a per-worker map context. Not safe for concurrent use.
-type MapThread interface {
-	// Delete removes key, reporting false if it was absent.
-	Delete(key uint64) bool
-
+// VersionedMapThread is a per-worker context on a multi-versioned map
+// (rcds.NewVersionedHashTable): current reads and writes, plus
+// point-in-time reads against a lease timestamp. Not safe for concurrent
+// use.
+type VersionedMapThread interface {
 	// GetB appends key's current bytes to dst and returns the extended
 	// slice.
 	GetB(key uint64, dst []byte) ([]byte, bool)
@@ -34,31 +34,17 @@ type MapThread interface {
 	// nothing was stored and the caller should shed or retry.
 	PutB(key uint64, val, dst []byte) (old []byte, existed bool, err error)
 
+	// DeleteV removes key, reporting whether it was present. A non-nil
+	// error is arena backpressure: the tombstone was not appended and
+	// the key remains bound.
+	DeleteV(key uint64) (bool, error)
+
 	// ScanB visits up to limit live entries (limit < 0 for all),
 	// stopping early when fn returns false, and returns the number
 	// visited. The scan is weakly consistent under concurrent updates.
 	// val is thread-owned scratch, valid only until fn returns — copy to
 	// retain.
 	ScanB(limit int, fn func(key uint64, val []byte) bool) int
-
-	// Clear unlinks every entry and flushes this worker's deferred work.
-	Clear()
-
-	// Detach unregisters the worker.
-	Detach()
-}
-
-// VersionedMapThread is a per-worker context on a multi-versioned map
-// (rcds.NewVersionedHashTable): MapThread plus point-in-time reads
-// against a lease timestamp, and a Delete variant that surfaces arena
-// backpressure (a versioned delete allocates its tombstone).
-type VersionedMapThread interface {
-	MapThread
-
-	// DeleteV removes key, reporting whether it was present. A non-nil
-	// error is arena backpressure: the tombstone was not appended and
-	// the key remains bound.
-	DeleteV(key uint64) (bool, error)
 
 	// GetAtB appends key's bytes as of version timestamp ts to dst. The
 	// caller must hold a lease with TS ≥ ts on the table's
@@ -70,6 +56,16 @@ type VersionedMapThread interface {
 	// rows form one atomic point-in-time snapshot across all keys
 	// (scratch val, as ScanB).
 	ScanAtB(ts uint64, limit int, fn func(key uint64, val []byte) bool) int
+
+	// Clear unlinks every entry and flushes this worker's deferred work.
+	Clear()
+
+	// Detach unregisters the worker.
+	Detach()
+
+	// Abandon leaves the worker's per-processor state for survivors to
+	// adopt, as a worker that died without Detach does.
+	Abandon()
 }
 
 // SetThread is a per-worker context. Not safe for concurrent use.

@@ -7,27 +7,31 @@ import (
 	"cdrc/internal/core"
 )
 
-// Byte-valued map operations (DESIGN.md §13). Map, cache and versioned
-// tables have one value plane (HashTable.EnableByteValues): each value's
-// bytes live inline in a size-class slab, and the node's Val word
-// carries the packed vals ref (0 for an empty value). The protocols:
+// Byte-valued map operations (DESIGN.md §13). Map and cache tables
+// have one value plane (HashTable.EnableByteValues): each value's bytes
+// live inline in a size-class slab, and a node's Val word carries the
+// packed vals ref (0 for an empty value). The protocols:
 //
-// Read (mutable Val, plain/cache tables): the node protection the caller
+// Read (map tables): a version cell never rebinds Val, so a read copies
+// under the cell's snapshot alone — it blocks the cell's finalizer,
+// hence the slab free.
+//
+// Read (cache tables, mutable Val): the node protection the caller
 // already holds (position snapshot or counted ref) keeps the node from
-// being finalized, but an in-place Put can displace and retire the ref
-// mid-copy — so the reader announces the ref word in the acquire slot
-// and re-validates the cell before copying (acquire-retire, the same
-// argument as a counted-pointer acquire). Version cells never rebind
-// Val, so versioned reads copy under the cell snapshot alone.
+// being finalized, but an in-place PutExB can displace and retire the
+// ref mid-copy — so the reader announces the ref word in the acquire
+// slot and re-validates the cell before copying (acquire-retire, the
+// same argument as a counted-pointer acquire).
 //
-// Write (in-place replace): the displaced ref goes through RetireValue
-// unconditionally — the §12 overwrite discipline — because a reader that
-// validated it may still be copying; only the eject scan honoring that
-// reader's announcement may free the slab. The replacing ref is parked
-// in the pid's inflight cell from allocation until the publishing
-// atomic lands, so a simulated crash anywhere in between (the search,
-// the node allocation) leaves the slab adoptable rather than leaked.
-// There are no crash points between publish and ClearInflight.
+// Write (cache tables, in-place replace): the displaced ref goes through
+// RetireValue unconditionally — the §12 overwrite discipline — because a
+// reader that validated it may still be copying; only the eject scan
+// honoring that reader's announcement may free the slab. On either kind
+// of table the new ref is parked in the pid's inflight cell from
+// allocation until the publishing atomic lands, so a simulated crash
+// anywhere in between (the search, the node allocation) leaves the slab
+// adoptable rather than leaked. There are no crash points between
+// publish and ClearInflight.
 //
 // Returned byte slices are appended to the caller's dst (which may be
 // nil); scan callbacks receive a scratch slice valid only for the call.
@@ -87,88 +91,10 @@ func (t *listThread) readValB(nd *listNode, dst []byte) []byte {
 	}
 }
 
-// readRow is walk's row on a plain table: the node's current bytes
-// under announce-validate.
-func (t *listThread) readRow(nd *listNode, dst []byte) ([]byte, bool) {
-	return t.readValB(nd, dst), true
-}
-
-// getB returns key's current bytes appended to dst.
-func (t *listThread) getB(head *core.AtomicRcPtr, key uint64, dst []byte) ([]byte, bool) {
-	pos := t.search(head, key)
-	found := pos.found
-	if found {
-		dst = t.readValB(t.deref(pos.curSnap, pos.curRc), dst)
-	}
-	t.releasePos(&pos)
-	return dst, found
-}
-
-// putB binds key to val, returning the displaced bytes appended to dst.
-func (t *listThread) putB(head *core.AtomicRcPtr, key uint64, val, dst []byte) ([]byte, bool, error) {
-	ref, err := t.putRef(val, true)
-	if err != nil {
-		return dst, false, err
-	}
-	for {
-		pos := t.search(head, key)
-		if pos.found {
-			curN := t.deref(pos.curSnap, pos.curRc)
-			if curN.next.LoadRaw().HasMark(deletedMark) {
-				t.releasePos(&pos)
-				continue
-			}
-			old := atomic.SwapUint64(&curN.Val, ref)
-			t.clearInflight() // published
-			if old&arena.ValueRefTag != 0 {
-				// Copy the displaced bytes out while the retire below is
-				// still ours to issue — nothing can free the slab yet.
-				dst = t.b.vp.AppendTo(dst, old)
-				t.th.RetireValue(old)
-			}
-			t.releasePos(&pos)
-			return dst, true, nil
-		}
-		linked, lerr := t.tryLink(&pos, key, ref)
-		if linked {
-			t.clearInflight() // published inside the linked node
-		}
-		t.releasePos(&pos)
-		if linked {
-			return dst, false, nil
-		}
-		if lerr != nil {
-			t.dropRef(ref)
-			return dst, false, lerr
-		}
-		// CAS lost; tryLink stripped the unpublished node's Val, so ref is
-		// still ours (and still parked) for the retry.
-	}
-}
-
-// GetB implements ds.MapThread.
-func (t *hashThread) GetB(key uint64, dst []byte) ([]byte, bool) {
-	if t.t.vsrc != nil {
-		return t.getVB(key, dst)
-	}
-	return t.getB(t.t.bucket(key), key, dst)
-}
-
-// PutB implements ds.MapThread.
-func (t *hashThread) PutB(key uint64, val, dst []byte) ([]byte, bool, error) {
-	if t.t.vsrc != nil {
-		return t.putVB(key, val, dst)
-	}
-	return t.putB(t.t.bucket(key), key, val, dst)
-}
-
-// ScanB implements ds.MapThread: a weakly-consistent walk, each entry
-// resolved to its newest live version on a versioned table.
+// ScanB implements ds.VersionedMapThread: a weakly-consistent walk,
+// each entry resolved to its newest live version.
 func (t *hashThread) ScanB(limit int, fn func(key uint64, val []byte) bool) int {
-	if t.t.vsrc != nil {
-		return t.walk(limit, fn, t.resolveHeadB)
-	}
-	return t.walk(limit, fn, t.readRow)
+	return t.walk(limit, fn, t.resolveHeadB)
 }
 
 // walk is the one bucket walk behind every scan: bucket order under
@@ -326,7 +252,7 @@ func (t *hashThread) ScanLiveB(now uint64, limit int, fn func(key uint64, val []
 	})
 }
 
-// --- versioned tables -----------------------------------------------------
+// --- map tables -----------------------------------------------------------
 
 // resolveHeadB appends e's newest live value to dst: the head cell,
 // unless the chain is frozen or headed by a tombstone. This is the
@@ -393,8 +319,8 @@ func (t *hashThread) resolveAtB(e *listNode, ts uint64, dst []byte) ([]byte, boo
 	return dst, false
 }
 
-// getVB is the versioned current-value byte read.
-func (t *hashThread) getVB(key uint64, dst []byte) ([]byte, bool) {
+// GetB implements ds.VersionedMapThread: the current-value byte read.
+func (t *hashThread) GetB(key uint64, dst []byte) ([]byte, bool) {
 	pos := t.search(t.t.bucket(key), key)
 	ok := false
 	if pos.found {
@@ -404,14 +330,14 @@ func (t *hashThread) getVB(key uint64, dst []byte) ([]byte, bool) {
 	return dst, ok
 }
 
-// putVB prepends a version cell carrying val's ref (insert and replace
-// are the same write; a tombstone head reports existed == false). The
-// replaced value is the newest version at the moment the new cell was
-// published. No RetireValue anywhere: a versioned table's displaced
-// values stay reachable as history, and each cell's ref is freed by the
-// finalizer cascade when a later write's settle trims the cell (or the
-// entry dies).
-func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
+// PutB implements ds.VersionedMapThread: it prepends a version cell
+// carrying val's ref (insert and replace are the same write; a tombstone
+// head reports existed == false). The replaced value is the newest
+// version at the moment the new cell was published. No RetireValue
+// anywhere: a map's displaced values stay reachable as history, and each
+// cell's ref is freed by the finalizer cascade when a later write's
+// settle trims the cell (or the entry dies).
+func (t *hashThread) PutB(key uint64, val, dst []byte) ([]byte, bool, error) {
 	th := t.th
 	ref, err := t.putRef(val, true)
 	if err != nil {
@@ -499,9 +425,6 @@ func (t *hashThread) putVB(key uint64, val, dst []byte) ([]byte, bool, error) {
 // reports absent, which is consistent: purging requires the tombstone's
 // stamp ≤ MinActive ≤ every live lease's ts.
 func (t *hashThread) GetAtB(ts, key uint64, dst []byte) ([]byte, bool) {
-	if t.t.vsrc == nil {
-		panic("rcds: GetAtB on an unversioned table")
-	}
 	pos := t.search(t.t.bucket(key), key)
 	ok := false
 	if pos.found {

@@ -3,7 +3,6 @@ package rcds
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,23 +24,34 @@ func bval(key, gen uint64, scale int) []byte {
 	return b
 }
 
-func newByteTable(t *testing.T, buckets, procs int, snapshots bool) *HashTable {
+// newByteTable builds a cache table: a value plane, no VersionSource.
+func newByteTable(t *testing.T, buckets, procs int) *HashTable {
 	t.Helper()
-	h := NewHashTable(buckets, procs, snapshots)
+	h := NewHashTable(buckets, procs, true)
 	h.EnableByteValues(t.Name())
 	h.EnableDebugChecks()
 	return h
 }
 
-// checkByteQuiescence drains and verifies both planes reach zero.
+// newMapTable builds a map table: versioned, with a value plane.
+func newMapTable(t *testing.T, buckets, procs int) *HashTable {
+	t.Helper()
+	h := NewVersionedHashTable(buckets, procs, snaplease.NewPool(2))
+	h.EnableByteValues(t.Name())
+	h.EnableDebugChecks()
+	return h
+}
+
+// checkByteQuiescence drains and verifies both planes reach zero, on map
+// and cache tables alike.
 func checkByteQuiescence(t *testing.T, h *HashTable) {
 	t.Helper()
-	m := h.AttachMap().(*hashThread)
+	m := h.attachValued()
 	m.Clear()
 	m.Drain()
 	m.Detach()
 	for i := 0; i < 4 && (h.LiveNodes() != 0 || h.ByteValues().Live() != 0); i++ {
-		d := h.AttachMap().(*hashThread)
+		d := h.attachValued()
 		d.Flush()
 		d.Drain()
 		d.Detach()
@@ -55,53 +65,54 @@ func checkByteQuiescence(t *testing.T, h *HashTable) {
 }
 
 func TestByteMapSequential(t *testing.T) {
-	for _, snapshots := range []bool{false, true} {
-		t.Run(fmt.Sprintf("snapshots=%v", snapshots), func(t *testing.T) {
-			h := newByteTable(t, 64, 2, snapshots)
-			m := h.AttachMap()
+	h := newMapTable(t, 64, 2)
+	m := h.AttachMap()
 
-			if _, found := m.GetB(1, nil); found {
-				t.Fatal("phantom key")
-			}
-			v1 := bval(1, 1, 9000)
-			if _, existed, err := m.PutB(1, v1, nil); existed || err != nil {
-				t.Fatalf("fresh PutB: existed=%v err=%v", existed, err)
-			}
-			got, found := m.GetB(1, nil)
-			if !found || !bytes.Equal(got, v1) {
-				t.Fatalf("GetB after put: found=%v len=%d want %d", found, len(got), len(v1))
-			}
-			// Replace returns the displaced bytes; sizes cross classes.
-			v2 := bval(1, 2, 100)
-			old, existed, err := m.PutB(1, v2, nil)
-			if err != nil || !existed || !bytes.Equal(old, v1) {
-				t.Fatalf("replace: existed=%v err=%v oldlen=%d", existed, err, len(old))
-			}
-			// Empty value is legal and distinct from absent.
-			if _, _, err := m.PutB(2, nil, nil); err != nil {
-				t.Fatal(err)
-			}
-			got, found = m.GetB(2, nil)
-			if !found || len(got) != 0 {
-				t.Fatalf("empty value: found=%v len=%d", found, len(got))
-			}
-			// dst append semantics.
-			pre := []byte("prefix:")
-			got, _ = m.GetB(1, pre)
-			if !bytes.HasPrefix(got, pre) || !bytes.Equal(got[len(pre):], v2) {
-				t.Fatal("GetB must append to dst")
-			}
-			if !m.Delete(1) || !m.Delete(2) {
-				t.Fatal("delete")
-			}
-			m.Detach()
-			checkByteQuiescence(t, h)
-		})
+	if _, found := m.GetB(1, nil); found {
+		t.Fatal("phantom key")
 	}
+	v1 := bval(1, 1, 9000)
+	if _, existed, err := m.PutB(1, v1, nil); existed || err != nil {
+		t.Fatalf("fresh PutB: existed=%v err=%v", existed, err)
+	}
+	got, found := m.GetB(1, nil)
+	if !found || !bytes.Equal(got, v1) {
+		t.Fatalf("GetB after put: found=%v len=%d want %d", found, len(got), len(v1))
+	}
+	// Replace returns the displaced bytes; sizes cross classes.
+	v2 := bval(1, 2, 100)
+	old, existed, err := m.PutB(1, v2, nil)
+	if err != nil || !existed || !bytes.Equal(old, v1) {
+		t.Fatalf("replace: existed=%v err=%v oldlen=%d", existed, err, len(old))
+	}
+	// Empty value is legal and distinct from absent.
+	if _, _, err := m.PutB(2, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, found = m.GetB(2, nil)
+	if !found || len(got) != 0 {
+		t.Fatalf("empty value: found=%v len=%d", found, len(got))
+	}
+	// dst append semantics.
+	pre := []byte("prefix:")
+	got, _ = m.GetB(1, pre)
+	if !bytes.HasPrefix(got, pre) || !bytes.Equal(got[len(pre):], v2) {
+		t.Fatal("GetB must append to dst")
+	}
+	for _, k := range []uint64{1, 2} {
+		if hit, err := m.DeleteV(k); !hit || err != nil {
+			t.Fatalf("DeleteV(%d): hit=%v err=%v", k, hit, err)
+		}
+	}
+	if _, found := m.GetB(1, nil); found {
+		t.Fatal("deleted key still found")
+	}
+	m.Detach()
+	checkByteQuiescence(t, h)
 }
 
 func TestByteMapScan(t *testing.T) {
-	h := newByteTable(t, 32, 1, true)
+	h := newMapTable(t, 32, 1)
 	m := h.AttachMap()
 	want := map[uint64][]byte{}
 	for k := uint64(1); k <= 40; k++ {
@@ -128,13 +139,13 @@ func TestByteMapScan(t *testing.T) {
 	checkByteQuiescence(t, h)
 }
 
-// TestByteMapConcurrentChurn hammers in-place replaces, inserts, deletes
-// and reads across size classes (including chains) with debug checks on:
-// any slab recycled under a mid-copy reader panics.
+// TestByteMapConcurrentChurn hammers replaces, inserts, deletes and
+// reads across size classes (including chains) with debug checks on: any
+// slab recycled under a mid-copy reader panics.
 func TestByteMapConcurrentChurn(t *testing.T) {
 	const procs = 4
 	// One pid per worker plus one for the scanning goroutine below.
-	h := newByteTable(t, 64, procs+1, true)
+	h := newMapTable(t, 64, procs+1)
 	const keys = 64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -170,7 +181,10 @@ func TestByteMapConcurrentChurn(t *testing.T) {
 						}
 					}
 				default:
-					m.Delete(k)
+					if _, err := m.DeleteV(k); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}(w)
@@ -198,11 +212,11 @@ func TestByteMapCrashInflight(t *testing.T) {
 	})
 	defer chaos.Disable()
 
-	h := newByteTable(t, 32, 2, true)
+	h := newMapTable(t, 32, 2)
 	crashes := 0
 	for i := 0; i < 32; i++ {
 		func() {
-			m := h.AttachMap().(*hashThread)
+			m := h.AttachMap()
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(chaos.CrashSignal); !ok {
@@ -285,7 +299,7 @@ func TestByteVersioned(t *testing.T) {
 }
 
 func TestByteCache(t *testing.T) {
-	h := newByteTable(t, 32, 2, true)
+	h := newByteTable(t, 32, 2)
 	c := h.AttachCache()
 	now := uint64(1000)
 	v1, v2 := bval(3, 1, 3000), bval(3, 2, 60)
@@ -323,27 +337,32 @@ func TestByteCache(t *testing.T) {
 	checkByteQuiescence(t, h)
 }
 
-// TestByteObsIdentity checks the retire pipeline bookkeeping: every
-// displaced ref retired through RetireValue is freed exactly once by an
-// eject, so vals alloc − free == Live at quiescence (zero here).
+// TestByteObsIdentity checks the retire pipeline bookkeeping: every ref
+// a cache's in-place replace displaces through RetireValue is freed
+// exactly once by an eject, so vals alloc − free == Live at quiescence
+// (zero here).
 func TestByteObsIdentity(t *testing.T) {
-	h := newByteTable(t, 16, 1, true)
-	m := h.AttachMap()
+	h := newByteTable(t, 16, 1)
+	c := h.AttachCache()
 	for gen := uint64(0); gen < 50; gen++ {
-		if _, _, err := m.PutB(7, bval(7, gen, 9000), nil); err != nil {
+		_, _, ref, _, err := c.PutExB(7, bval(7, gen, 9000), 0, 1, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if ref.Word != 0 {
+			c.DropRef(ref)
+		}
 	}
-	m.Detach()
+	c.Detach()
 	checkByteQuiescence(t, h)
 }
 
 // TestByteMapAllocsSteadyState pins the data-plane zero-allocation
-// claim end to end: warm GetB/PutB/ScanB cycles on a byte table perform
-// no Go heap allocation (node slab, value slab, and scan scratch all
-// recycle, and the scan's row closure stays on the stack).
+// claim end to end: warm GetB/PutB/ScanB cycles on a map table perform
+// no Go heap allocation (version cells, value slabs, and scan scratch
+// all recycle, and the scan's row closure stays on the stack).
 func TestByteMapAllocsSteadyState(t *testing.T) {
-	h := NewHashTable(16, 1, true)
+	h := NewVersionedHashTable(16, 1, snaplease.NewPool(1))
 	h.EnableByteValues(t.Name())
 	m := h.AttachMap()
 	defer m.Detach()
@@ -373,7 +392,7 @@ func TestByteMapAllocsSteadyState(t *testing.T) {
 // unlink, so only scans may follow.
 func markOnly(t *testing.T, h *HashTable, key uint64) {
 	t.Helper()
-	m := h.AttachMap().(*hashThread)
+	m := h.attachValued()
 	defer m.Detach()
 	pos := m.search(h.bucket(key), key)
 	defer m.releasePos(&pos)
@@ -387,7 +406,7 @@ func markOnly(t *testing.T, h *HashTable, key uint64) {
 }
 
 // TestScanWalk drives the one bucket walk through each scan that shares
-// it — ScanB on plain and versioned tables, ScanLiveB on a cache table,
+// it — ScanB on a map table, ScanLiveB on a cache table,
 // ScanAtB at a lease timestamp — and checks the same contract on each:
 // limit 0, 1, a few and all; an early stop when fn returns false; and
 // the rows the scan must skip (marked nodes everywhere, expired entries
@@ -404,26 +423,8 @@ func TestScanWalk(t *testing.T) {
 		setup func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func())
 	}{
 		{
-			name:  "plain/ScanB",
-			table: func(t *testing.T) *HashTable { return newByteTable(t, 8, 2, true) },
-			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
-				m := h.AttachMap()
-				want := map[uint64][]byte{}
-				for k := uint64(1); k <= keys; k++ {
-					v := bval(k, 1, 300)
-					if _, _, err := m.PutB(k, v, nil); err != nil {
-						t.Fatal(err)
-					}
-					want[k] = v
-				}
-				markOnly(t, h, 5)
-				delete(want, 5)
-				return m.ScanB, want, m.Detach
-			},
-		},
-		{
 			name:  "cache/ScanLiveB",
-			table: func(t *testing.T) *HashTable { return newByteTable(t, 8, 2, true) },
+			table: func(t *testing.T) *HashTable { return newByteTable(t, 8, 2) },
 			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
 				c := h.AttachCache()
 				want := map[uint64][]byte{}
@@ -461,7 +462,7 @@ func TestScanWalk(t *testing.T) {
 		},
 		{
 			name:  "versioned/ScanB",
-			table: newVersionedByteTable,
+			table: func(t *testing.T) *HashTable { return newMapTable(t, 8, 2) },
 			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
 				m, _, _, cur, release := versionedScanFixture(t, h)
 				return m.ScanB, cur, release
@@ -469,7 +470,7 @@ func TestScanWalk(t *testing.T) {
 		},
 		{
 			name:  "versioned/ScanAtB",
-			table: newVersionedByteTable,
+			table: func(t *testing.T) *HashTable { return newMapTable(t, 8, 2) },
 			setup: func(t *testing.T, h *HashTable) (scanFn, map[uint64][]byte, func()) {
 				m, ts, atTS, _, release := versionedScanFixture(t, h)
 				scan := func(limit int, fn func(key uint64, val []byte) bool) int {
@@ -529,14 +530,6 @@ func TestScanWalk(t *testing.T) {
 	}
 }
 
-func newVersionedByteTable(t *testing.T) *HashTable {
-	t.Helper()
-	h := NewVersionedHashTable(8, 2, snaplease.NewPool(2))
-	h.EnableByteValues(t.Name())
-	h.EnableDebugChecks()
-	return h
-}
-
 // versionedScanFixture writes keys 1..12, then under a retention lease
 // deletes key 8, takes the scan lease ts, and after it replaces key 2,
 // deletes key 4, adds key 13 and marks key 6. It returns ts, the rows
@@ -593,42 +586,53 @@ func versionedScanFixture(t *testing.T, h *HashTable) (m *hashThread, ts uint64,
 	}
 }
 
-// TestAttachRequiresValuePlane pins the attach guard: map and cache
-// threads exist only on a table with a value plane, so a table without
-// one is refused at attach rather than on every operation. The set API
-// stays available on such a table.
+// TestAttachRequiresValuePlane pins the attach guards: map and cache
+// threads exist only on a table with a value plane, and map threads only
+// on a versioned one, so a table that lacks either is refused at attach
+// rather than on every operation. The set API stays available on such a
+// table.
 func TestAttachRequiresValuePlane(t *testing.T) {
-	tables := map[string]func() *HashTable{
-		"plain":     func() *HashTable { return NewHashTable(16, 2, true) },
-		"versioned": func() *HashTable { return NewVersionedHashTable(16, 2, snaplease.NewPool(2)) },
+	plain := func() *HashTable { return NewHashTable(16, 2, true) }
+	versioned := func() *HashTable { return NewVersionedHashTable(16, 2, snaplease.NewPool(2)) }
+	valued := func() *HashTable {
+		h := plain()
+		h.EnableByteValues("")
+		return h
 	}
-	attaches := map[string]func(h *HashTable){
-		"AttachMap":   func(h *HashTable) { h.AttachMap() },
-		"AttachCache": func(h *HashTable) { h.AttachCache() },
+	attachMap := func(h *HashTable) { h.AttachMap() }
+	attachCache := func(h *HashTable) { h.AttachCache() }
+	cases := []struct {
+		name   string
+		table  func() *HashTable
+		attach func(h *HashTable)
+	}{
+		{"plain/AttachMap", plain, attachMap},
+		{"plain/AttachCache", plain, attachCache},
+		{"versioned/AttachMap", versioned, attachMap},
+		{"versioned/AttachCache", versioned, attachCache},
+		{"unversioned/AttachMap", valued, attachMap},
 	}
-	for tn, mk := range tables {
-		for an, attach := range attaches {
-			t.Run(tn+"/"+an, func(t *testing.T) {
-				h := mk()
-				func() {
-					defer func() {
-						if recover() == nil {
-							t.Fatalf("%s on a table without a value plane did not panic", an)
-						}
-					}()
-					attach(h)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.table()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s did not panic", tc.name)
+					}
 				}()
-				// The refused attach took no processor id: both ids are
-				// still free for the set API.
-				a, b := h.Attach(), h.Attach()
-				a.Insert(1)
-				if !b.Contains(1) {
-					t.Fatal("set API broken after a refused attach")
-				}
-				a.Delete(1)
-				a.Detach()
-				b.Detach()
-			})
-		}
+				tc.attach(h)
+			}()
+			// The refused attach took no processor id: both ids are
+			// still free for the set API.
+			a, b := h.Attach(), h.Attach()
+			a.Insert(1)
+			if !b.Contains(1) {
+				t.Fatal("set API broken after a refused attach")
+			}
+			a.Delete(1)
+			a.Detach()
+			b.Detach()
+		})
 	}
 }

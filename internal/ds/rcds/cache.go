@@ -86,8 +86,8 @@ const (
 	EvictEvicted
 )
 
-// tryLinkCache is tryLink plus an Exp stamp and a weak reference to the
-// new node, minted under the pre-CAS strong reference so the index can
+// tryLinkCache is tryLink plus a vals ref, an Exp stamp and a weak
+// reference to the new node, minted under the pre-CAS strong reference so the index can
 // track the entry without keeping it alive. Unlike tryLink it does not
 // flush and retry a failed allocation: the cache caller evicts before it
 // flushes, so one flush per insert turns its victims into free slots.
@@ -120,8 +120,8 @@ func (t *listThread) tryLinkCache(pos *position, key, ref, exp uint64) (bool, co
 		return true, w, nil
 	}
 	th.ReleaseWeak(w)
-	// Unpublished: strip Val so the caller keeps its parked vals ref for
-	// the retry (see tryLink).
+	// Unpublished: strip Val so the finalizer leaves the caller's parked
+	// vals ref alone for the retry.
 	atomic.StoreUint64(&th.Deref(n).Val, 0)
 	th.Release(n) // finalizer releases curOwned
 	return false, core.NilWeakPtr, nil

@@ -21,7 +21,7 @@ type HashTable struct {
 	snapshots bool
 	buckets   []core.AtomicRcPtr
 	shift     uint          // 64 − log₂(len(buckets)): bucket keeps the product's top bits
-	vsrc      VersionSource // non-nil selects the versioned map paths (vers.go)
+	vsrc      VersionSource // the map API's clock; nil on set and cache tables (vers.go)
 }
 
 // NewHashTable creates a hash set with the given power-of-two-rounded
@@ -65,9 +65,6 @@ func (h *HashTable) ByteValues() *vals.Pool { return h.base.vp }
 // Buckets returns the table's bucket count.
 func (h *HashTable) Buckets() int { return len(h.buckets) }
 
-// Versioned reports whether the table runs the multi-versioned paths.
-func (h *HashTable) Versioned() bool { return h.vsrc != nil }
-
 // LiveNodes implements ds.Set.
 func (h *HashTable) LiveNodes() int64 { return h.base.dom.Live() }
 
@@ -94,16 +91,8 @@ func (h *HashTable) bucket(key uint64) *core.AtomicRcPtr {
 // Insert implements ds.SetThread.
 func (t *hashThread) Insert(key uint64) bool { return t.insert(t.t.bucket(key), key) }
 
-// Delete implements ds.SetThread. On a versioned table it appends a
-// tombstone version and swallows the arena-backpressure error; map-path
-// callers that must distinguish use DeleteV.
-func (t *hashThread) Delete(key uint64) bool {
-	if t.t.vsrc != nil {
-		hit, _ := t.delV(key)
-		return hit
-	}
-	return t.delete(t.t.bucket(key), key)
-}
+// Delete implements ds.SetThread. Maps delete through DeleteV.
+func (t *hashThread) Delete(key uint64) bool { return t.delete(t.t.bucket(key), key) }
 
 // Contains implements ds.SetThread.
 func (t *hashThread) Contains(key uint64) bool { return t.contains(t.t.bucket(key), key) }

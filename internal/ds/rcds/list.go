@@ -54,13 +54,13 @@ const deletedMark = 0
 //
 // Vers is used only by versioned tables (vers.go): on an entry node it
 // heads the key's version chain; on a version cell it is nil and Key is
-// reinterpreted as the cell's stamp word. Plain tables keep it nil, so
-// the only cost they pay is one extra Init per insert.
+// reinterpreted as the cell's stamp word. Set and cache tables keep it
+// nil, so the only cost they pay is one extra Init per insert.
 //
 // Exp is used only by cache tables (cache.go): bit 63 is the clock
 // "referenced" bit and bits 0..62 hold the entry's expiry deadline in
-// monotonic nanoseconds (0 = no TTL). Plain and versioned tables leave it
-// zero; it is read and written with sync/atomic like Val.
+// monotonic nanoseconds (0 = no TTL). Set and map tables leave it zero;
+// it is read and written with sync/atomic like Val.
 type listNode struct {
 	Key  uint64
 	Val  uint64
@@ -109,8 +109,8 @@ func newListBase(structure string, maxProcs int, snapshots bool) *listBase {
 			t.Release(n.next.LoadRaw().Unmarked())
 			n.next.Init(core.NilRcPtr)
 			// Versioned tables: an entry's version chain dies with it (the
-			// word may carry the freeze mark; strip it). Plain nodes and
-			// version cells hold nil here.
+			// word may carry the freeze mark; strip it). Set and cache
+			// nodes and version cells hold nil here.
 			t.Release(n.Vers.LoadRaw().Unmarked())
 			n.Vers.Init(core.NilRcPtr)
 		},
@@ -267,13 +267,12 @@ retry:
 	}
 }
 
-// tryLink allocates a node for key carrying val (a vals ref, or 0) and
-// CASes it in at pos. It returns
-// (true, nil) when the node was linked, (false, nil) when the CAS lost and
-// the caller should re-search, and (false, err) when the arena is
-// exhausted even after a flush-and-retry (the caller's backpressure
-// signal). pos protections remain owned by the caller.
-func (t *listThread) tryLink(pos *position, key, val uint64) (bool, error) {
+// tryLink allocates a set node for key and CASes it in at pos. It
+// returns (true, nil) when the node was linked, (false, nil) when the CAS
+// lost and the caller should re-search, and (false, err) when the arena
+// is exhausted even after a flush-and-retry. pos protections remain
+// owned by the caller.
+func (t *listThread) tryLink(pos *position, key uint64) (bool, error) {
 	th := t.th
 	// The new node owns a counted reference to cur.
 	var curOwned core.RcPtr
@@ -284,7 +283,7 @@ func (t *listThread) tryLink(pos *position, key, val uint64) (bool, error) {
 	}
 	init := func(nd *listNode) {
 		nd.Key = key
-		atomic.StoreUint64(&nd.Val, val)
+		atomic.StoreUint64(&nd.Val, 0)
 		atomic.StoreUint64(&nd.Exp, 0) // recycled slots carry arena poison
 		nd.next.Init(curOwned)
 		nd.Vers.Init(core.NilRcPtr) // recycled slots carry arena poison
@@ -299,38 +298,26 @@ func (t *listThread) tryLink(pos *position, key, val uint64) (bool, error) {
 	if th.CompareAndSwapMove(pos.prevLink, pos.cur(), n) {
 		return true, nil
 	}
-	// Lost the CAS: n was never published, so we own it exclusively. Strip
-	// Val before releasing — it carries a vals ref the caller still owns
-	// (parked in the pid's inflight cell) and will relink on retry; the
-	// finalizer must not free it.
-	atomic.StoreUint64(&th.Deref(n).Val, 0)
-	th.Release(n) // finalizer releases curOwned
+	th.Release(n) // never published; the finalizer releases curOwned
 	return false, nil
-}
-
-// insertWith adds key with value val under head, reporting whether it
-// was absent (and any arena-exhaustion error when it could not be added).
-func (t *listThread) insertWith(head *core.AtomicRcPtr, key, val uint64) (bool, error) {
-	for {
-		pos := t.search(head, key)
-		if pos.found {
-			t.releasePos(&pos)
-			return false, nil
-		}
-		linked, err := t.tryLink(&pos, key, val)
-		t.releasePos(&pos)
-		if linked || err != nil {
-			return linked, err
-		}
-	}
 }
 
 // insert adds key under head. An arena-exhausted insert is dropped (the
 // set-semantics callers count it via rcscheme.alloc.drop and return
 // false, matching the benchmark adapters).
 func (t *listThread) insert(head *core.AtomicRcPtr, key uint64) bool {
-	ok, _ := t.insertWith(head, key, 0)
-	return ok
+	for {
+		pos := t.search(head, key)
+		if pos.found {
+			t.releasePos(&pos)
+			return false
+		}
+		linked, err := t.tryLink(&pos, key)
+		t.releasePos(&pos)
+		if linked || err != nil {
+			return linked
+		}
+	}
 }
 
 // delete removes key under head.

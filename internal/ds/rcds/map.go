@@ -6,18 +6,23 @@ import (
 )
 
 // Map operations over the Harris-Michael bucket lists: the hash table
-// doubles as a key→value map by carrying a vals ref to the value's bytes
-// in the node's Val word (bytemap.go) and replacing it in place with an
-// atomic swap. A value replace on a node that a concurrent Delete has
-// just marked linearizes immediately before that Delete (the Put began
-// before the mark landed, so the ordering is within both operations'
-// windows); the lincheck tests exercise exactly this interleaving.
+// doubles as a key→value map by hanging a chain of version cells off
+// each entry node (vers.go), each cell carrying a vals ref to one
+// value's bytes (bytemap.go). Every write prepends a cell; no map write
+// rebinds a published Val word. Only cache tables (cache.go) replace a
+// node's value in place.
 
 // AttachMap registers the calling goroutine for map operations. The
 // returned thread shares the table's processor-id space with set handles;
 // a goroutine needs only one or the other. Panics on a table without a
-// value plane (EnableByteValues).
-func (h *HashTable) AttachMap() ds.MapThread { return h.attachValued() }
+// value plane (EnableByteValues) or without a VersionSource
+// (NewVersionedHashTable).
+func (h *HashTable) AttachMap() ds.VersionedMapThread {
+	if h.vsrc == nil {
+		panic("rcds: map attach on an unversioned table (NewVersionedHashTable)")
+	}
+	return h.attachValued()
+}
 
 // attachValued is Attach for the map and cache APIs. Their values live
 // only in the byte plane, so a table without one is a setup bug and is
@@ -42,9 +47,9 @@ func (h *HashTable) EnableDebugChecks() {
 	}
 }
 
-// Clear implements ds.MapThread: it unlinks every bucket chain (each
-// dropped head release cascades through finalizers) and flushes this
-// thread's deferred decrements. Quiescent callers reach LiveNodes() == 0
+// Clear implements ds.VersionedMapThread: it unlinks every bucket chain
+// (each dropped head release cascades through finalizers) and flushes
+// this thread's deferred decrements. Quiescent callers reach LiveNodes() == 0
 // after at most a few adoption/flush rounds.
 func (t *hashThread) Clear() {
 	for i := range t.t.buckets {

@@ -44,7 +44,7 @@ import (
 // duration of a multi-shard read" with "hold a timestamp".
 
 // chaosPrependCAS sits just before a writer's prepend CAS on an entry's
-// Vers word (putVB's version cell, delV's tombstone): a stall there lets
+// Vers word (PutB's version cell, DeleteV's tombstone): a stall there lets
 // another writer move the head, so the stalled CAS loses and takes the
 // lost path, whose new cell links the old head without owning a count
 // (see prepend). Stall-only: a crash here would leak the unpublished
@@ -103,8 +103,8 @@ const (
 // run multi-versioned against vs, adding GetAtB/ScanAtB point-in-time
 // reads. Like any map it needs EnableByteValues before AttachMap.
 // Snapshot mode is forced on (version resolution traverses under
-// snapshot protection). The set API (Insert/Contains via Attach) must
-// not be used on a versioned table.
+// snapshot protection). The set API (Insert/Delete/Contains via
+// Attach) must not be used on a versioned table.
 func NewVersionedHashTable(buckets, maxProcs int, vs VersionSource) *HashTable {
 	h := NewHashTable(buckets, maxProcs, true)
 	h.vsrc = vs
@@ -153,8 +153,8 @@ func (t *hashThread) stampCellIn(e *listNode, target core.RcPtr) {
 	th.ReleaseSnapshot(&cur)
 }
 
-// chaosBeforeSettle sits between a writer's won prepend (putVB's version
-// cell, delV's tombstone) and its settle walk: a stall there lets
+// chaosBeforeSettle sits between a writer's won prepend (PutB's version
+// cell, DeleteV's tombstone) and its settle walk: a stall there lets
 // another writer prepend above the cell, so settle takes the fallback.
 // Stall-only: the writer's cell is published but its stamp is not fixed
 // yet, and a writer must not return (or die) before it is.
@@ -304,8 +304,8 @@ func (t *hashThread) tryLinkV(pos *position, key, ref uint64) (bool, error) {
 	if err != nil {
 		obsAllocDrop.Inc(th.ProcID())
 		th.Release(curOwned)
-		// Unpublished: strip the cell's Val so the caller keeps its
-		// parked vals ref (see tryLink).
+		// Unpublished: strip the cell's Val so the finalizer leaves the
+		// caller's parked vals ref alone.
 		atomic.StoreUint64(&th.Deref(cell).Val, 0)
 		th.Release(cell)
 		return false, err
@@ -327,10 +327,11 @@ func (t *hashThread) tryLinkV(pos *position, key, ref uint64) (bool, error) {
 	return true, nil
 }
 
-// delV removes key by appending a tombstone cell (so leases older than
-// the delete still see the value), then attempts the physical purge.
-// The error is arena backpressure: versioned deletes allocate.
-func (t *hashThread) delV(key uint64) (bool, error) {
+// DeleteV implements ds.VersionedMapThread: it removes key by appending
+// a tombstone cell (so leases older than the delete still see the
+// value), then attempts the physical purge. The error is arena
+// backpressure: versioned deletes allocate.
+func (t *hashThread) DeleteV(key uint64) (bool, error) {
 	th := t.th
 	head := t.t.bucket(key)
 	for {
@@ -415,14 +416,4 @@ func (t *hashThread) delV(key uint64) (bool, error) {
 		t.releasePos(&pos)
 		return true, nil
 	}
-}
-
-// DeleteV is Delete with the arena-backpressure error surfaced (a
-// versioned delete allocates its tombstone). Implements
-// ds.VersionedMapThread.
-func (t *hashThread) DeleteV(key uint64) (bool, error) {
-	if t.t.vsrc != nil {
-		return t.delV(key)
-	}
-	return t.delete(t.t.bucket(key), key), nil
 }

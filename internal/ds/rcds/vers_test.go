@@ -15,7 +15,7 @@ import (
 
 // publishPending prepends an unstamped version cell to key's chain — a
 // tombstone when val is nil, else a cell carrying val — exactly as
-// putVB and delV publish one, and stops there, as a writer paused
+// PutB and DeleteV publish one, and stops there, as a writer paused
 // between its publishing CAS and its settle walk leaves it.
 func publishPending(t *testing.T, h *HashTable, key uint64, val []byte) {
 	t.Helper()

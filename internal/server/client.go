@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -25,12 +26,15 @@ type MovedError struct{ Addr string }
 func (e *MovedError) Error() string { return "server: moved to " + e.Addr }
 
 // Client speaks the wire protocol over one connection. It is not safe
-// for concurrent use: the protocol allows one request in flight per
-// connection.
+// for concurrent use: replies come back in request order, so one caller
+// must write a batch and read all its replies before the next.
 type Client struct {
 	c  net.Conn
 	br *bufio.Reader
 	bw *bufio.Writer
+
+	one Batch    // the single-request methods' batch
+	res []Result // and its result, whose Bytes capacity is reused
 }
 
 // Dial connects to a server at addr.
@@ -66,28 +70,6 @@ func (cl *Client) roundTrip(req string) (string, error) {
 	return cl.readLine()
 }
 
-// roundTripBody sends a request line followed by a length-prefixed value
-// body (the caller's line already carries the length field) and reads one
-// reply line.
-func (cl *Client) roundTripBody(req string, body []byte) (string, error) {
-	if _, err := cl.bw.WriteString(req); err != nil {
-		return "", err
-	}
-	if err := cl.bw.WriteByte('\n'); err != nil {
-		return "", err
-	}
-	if _, err := cl.bw.Write(body); err != nil {
-		return "", err
-	}
-	if err := cl.bw.WriteByte('\n'); err != nil {
-		return "", err
-	}
-	if err := cl.bw.Flush(); err != nil {
-		return "", err
-	}
-	return cl.readLine()
-}
-
 // readBody reads an n-byte value body plus its terminating LF, reusing
 // dst's capacity.
 func (cl *Client) readBody(n int, dst []byte) ([]byte, error) {
@@ -109,16 +91,6 @@ func (cl *Client) readBody(n int, dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// readValue parses a "<tag> <len>" reply line and reads the body that
-// follows it.
-func (cl *Client) readValue(line, tag string) ([]byte, error) {
-	n, err := parseTagged(line, tag)
-	if err != nil {
-		return nil, err
-	}
-	return cl.readBody(int(n), nil)
-}
-
 func (cl *Client) readLine() (string, error) {
 	line, err := cl.br.ReadString('\n')
 	if err != nil {
@@ -136,14 +108,6 @@ func (cl *Client) readLine() (string, error) {
 	return line, nil
 }
 
-func parseTagged(line, tag string) (uint64, error) {
-	rest, ok := strings.CutPrefix(line, tag+" ")
-	if !ok {
-		return 0, fmt.Errorf("server: unexpected reply %q (want %s)", line, tag)
-	}
-	return strconv.ParseUint(rest, 10, 64)
-}
-
 // Ping checks liveness.
 func (cl *Client) Ping() error {
 	line, err := cl.roundTrip("PING")
@@ -156,43 +120,49 @@ func (cl *Client) Ping() error {
 	return nil
 }
 
-// Get fetches key's value bytes; ok reports presence.
-func (cl *Client) Get(key uint64) (v []byte, ok bool, err error) {
-	line, err := cl.roundTrip("GET " + strconv.FormatUint(key, 10))
+// do runs the request queued in cl.one as a one-request batch. A -BUSY
+// reply comes back as ErrBusy; r.Bytes is scratch until the next call.
+func (cl *Client) do() (r Result, err error) {
+	cl.res, err = cl.DoBatch(&cl.one, cl.res[:0])
+	cl.one.Reset()
 	if err != nil {
+		return Result{}, err
+	}
+	if r = cl.res[0]; r.Busy {
+		return Result{}, ErrBusy
+	}
+	return r, nil
+}
+
+// doValue is do for the requests whose reply may carry a value (GET,
+// PUT, GETEX, SETEX): found reports a value, which the caller owns.
+func (cl *Client) doValue() (v []byte, found bool, err error) {
+	r, err := cl.do()
+	if err != nil || !r.Found {
 		return nil, false, err
 	}
-	if line == "+NIL" {
-		return nil, false, nil
-	}
-	v, err = cl.readValue(line, "+VAL")
-	return v, err == nil, err
+	return append([]byte{}, r.Bytes...), true, nil
+}
+
+// Get fetches key's value bytes; ok reports presence.
+func (cl *Client) Get(key uint64) (v []byte, ok bool, err error) {
+	cl.one.Get(key)
+	return cl.doValue()
 }
 
 // Put maps key to val (arbitrary bytes, binary-safe); when the key was
 // present the replaced value is returned with existed == true. ErrBusy
 // means the store rejected the write (nothing was stored).
 func (cl *Client) Put(key uint64, val []byte) (old []byte, existed bool, err error) {
-	line, err := cl.roundTripBody("PUT "+strconv.FormatUint(key, 10)+" "+
-		strconv.Itoa(len(val)), val)
-	if err != nil {
-		return nil, false, err
-	}
-	if line == "+NEW" {
-		return nil, false, nil
-	}
-	old, err = cl.readValue(line, "+OLD")
-	return old, err == nil, err
+	cl.one.Put(key, val)
+	return cl.doValue()
 }
 
 // Del removes key, reporting whether it was present.
 func (cl *Client) Del(key uint64) (bool, error) {
-	line, err := cl.roundTrip("DEL " + strconv.FormatUint(key, 10))
-	if err != nil {
-		return false, err
-	}
-	n, err := parseTagged(line, "+DEL")
-	return n == 1, err
+	cl.one.Del(key)
+	r, err := cl.do()
+	return r.Found, err
 }
 
 // Entry is one key/value row of a SCAN or SNAPSCAN reply. Val is an
@@ -317,55 +287,28 @@ func (cl *Client) MGet(keys ...uint64) ([]Result, error) {
 	return res, nil
 }
 
-// ttlMillis renders a TTL for the wire (decimal milliseconds; non
-// positive → 0).
-func ttlMillis(ttl time.Duration) string {
-	if ttl <= 0 {
-		return "0"
-	}
-	return strconv.FormatUint(uint64(ttl/time.Millisecond), 10)
-}
-
 // SetEx maps key to val with an expiry TTL (0 = no expiry). Cache mode
 // only. The reply shape matches Put; the server evicts under arena
 // pressure instead of replying -BUSY.
 func (cl *Client) SetEx(key uint64, val []byte, ttl time.Duration) (old []byte, existed bool, err error) {
-	line, err := cl.roundTripBody("SETEX "+strconv.FormatUint(key, 10)+" "+
-		ttlMillis(ttl)+" "+strconv.Itoa(len(val)), val)
-	if err != nil {
-		return nil, false, err
-	}
-	if line == "+NEW" {
-		return nil, false, nil
-	}
-	old, err = cl.readValue(line, "+OLD")
-	return old, err == nil, err
+	cl.one.SetEx(key, val, ttl)
+	return cl.doValue()
 }
 
 // GetEx fetches key's value, marking it recently used; a non-zero ttl
 // also replaces its expiry deadline. Cache mode only.
 func (cl *Client) GetEx(key uint64, ttl time.Duration) (v []byte, ok bool, err error) {
-	line, err := cl.roundTrip("GETEX " + strconv.FormatUint(key, 10) + " " + ttlMillis(ttl))
-	if err != nil {
-		return nil, false, err
-	}
-	if line == "+NIL" {
-		return nil, false, nil
-	}
-	v, err = cl.readValue(line, "+VAL")
-	return v, err == nil, err
+	cl.one.GetEx(key, ttl)
+	return cl.doValue()
 }
 
 // Expire replaces key's expiry deadline (ttl <= 0 expires it
 // immediately), reporting whether the key was present and live. Cache
 // mode only.
 func (cl *Client) Expire(key uint64, ttl time.Duration) (bool, error) {
-	line, err := cl.roundTrip("EXPIRE " + strconv.FormatUint(key, 10) + " " + ttlMillis(ttl))
-	if err != nil {
-		return false, err
-	}
-	n, err := parseTagged(line, "+EXP")
-	return n == 1, err
+	cl.one.Expire(key, ttl)
+	r, err := cl.do()
+	return r.Found, err
 }
 
 // CacheStats fetches the server's aggregated cache counters as JSON.
@@ -475,36 +418,6 @@ func RetryBusy(bo Backoff, op func() error) error {
 		}
 	}
 	return err
-}
-
-// DoGetRetry is Get with -BUSY retries under the policy.
-func (cl *Client) DoGetRetry(key uint64, bo Backoff) (v []byte, ok bool, err error) {
-	err = RetryBusy(bo, func() error {
-		var e error
-		v, ok, e = cl.Get(key)
-		return e
-	})
-	return
-}
-
-// DoPutRetry is Put with -BUSY retries under the policy.
-func (cl *Client) DoPutRetry(key uint64, val []byte, bo Backoff) (old []byte, existed bool, err error) {
-	err = RetryBusy(bo, func() error {
-		var e error
-		old, existed, e = cl.Put(key, val)
-		return e
-	})
-	return
-}
-
-// DoDelRetry is Del with -BUSY retries under the policy.
-func (cl *Client) DoDelRetry(key uint64, bo Backoff) (hit bool, err error) {
-	err = RetryBusy(bo, func() error {
-		var e error
-		hit, e = cl.Del(key)
-		return e
-	})
-	return
 }
 
 // --- pipelined API ---------------------------------------------------------
@@ -619,9 +532,10 @@ type Result struct {
 // reply per request, in order, appending to results (pass results[:0] to
 // reuse a slice). The round trip allocates nothing once results has
 // capacity and each recycled entry's Bytes has capacity for its value. A
-// -ERR reply or a malformed reply aborts with an error: it signals a
-// protocol bug, not a retryable condition, and the connection should be
-// abandoned. The batch itself is untouched - callers Reset and refill it.
+// -ERR, -MOVED (as *MovedError) or malformed reply aborts with an error
+// and leaves the later requests' replies unread, so the connection stays
+// usable only when the failed request was the batch's last. The batch
+// itself is untouched - callers Reset and refill it.
 func (cl *Client) DoBatch(b *Batch, results []Result) ([]Result, error) {
 	if len(b.ops) == 0 {
 		return results, nil
@@ -661,10 +575,13 @@ func (cl *Client) DoBatch(b *Batch, results []Result) ([]Result, error) {
 // scratch (capacity reuse; allocation-free once warm).
 func (cl *Client) parseBatchReply(kind byte, line, scratch []byte) (Result, error) {
 	if len(line) > 0 && line[0] == '-' {
-		if string(line) == "-BUSY" {
+		switch {
+		case string(line) == "-BUSY":
 			return Result{Bytes: scratch, Busy: true}, nil
+		case bytes.HasPrefix(line, []byte("-MOVED ")):
+			return Result{}, &MovedError{Addr: string(line[len("-MOVED "):])}
 		}
-		return Result{}, fmt.Errorf("server: %s", line)
+		return Result{}, fmt.Errorf("server: %s", bytes.TrimPrefix(line, []byte("-ERR ")))
 	}
 	tagged := func(tag string) (uint64, error) {
 		if len(line) > len(tag)+1 && string(line[:len(tag)]) == tag && line[len(tag)] == ' ' {

@@ -65,7 +65,8 @@ func TestPipelinedOrdering(t *testing.T) {
 			// the GET phase has a known expected value per key.
 			bo := Backoff{Attempts: 64, Seed: uint64(conn)}
 			for k := base; k < base+nKeys; k++ {
-				if _, _, err := cl.DoPutRetry(k, tb(valFor(k)), bo); err != nil {
+				err := RetryBusy(bo, func() error { _, _, err := cl.Put(k, tb(valFor(k))); return err })
+				if err != nil {
 					t.Errorf("conn %d: seed Put(%d): %v", conn, k, err)
 					hardFails.Add(1)
 					return

@@ -511,7 +511,7 @@ func parseUintBytes(b []byte) (uint64, bool) {
 }
 
 // parseIntBytes parses a signed decimal (SCAN's limit is signed: a
-// non-positive limit selects the server's ScanLimit).
+// non-positive limit selects scanLimit).
 func parseIntBytes(b []byte) (int64, bool) {
 	neg := false
 	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {

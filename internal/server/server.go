@@ -70,9 +70,28 @@ var (
 // references between requests), documented in DESIGN.md's fault model.
 var chaosWorkerOp = chaos.New("server.worker.op")
 
-// maxLine bounds one request line; longer lines are consumed and
-// answered with -ERR line too long (the connection resynchronizes).
-const maxLine = 1 << 16
+const (
+	// maxLine bounds one request line; longer lines are consumed and
+	// answered with -ERR line too long (the connection resynchronizes).
+	maxLine = 1 << 16
+
+	// maxValLen caps one value's byte length on the wire. An oversized
+	// PUT/SETEX body is consumed and answered with -ERR.
+	maxValLen = 1 << 20
+
+	// scanLimit caps the rows of one SCAN or SNAPSCAN, and is the limit
+	// a non-positive request selects.
+	scanLimit = 4096
+
+	// drainGrace bounds how long a graceful Close waits for connection
+	// writers to flush in-flight pipelined replies before hard-closing
+	// the sockets.
+	drainGrace = time.Second
+)
+
+// A stored value must fit the value plane: this fails to compile if
+// maxValLen exceeds vals.MaxLen.
+const _ = uint(vals.MaxLen - maxValLen)
 
 // Config parameterizes New. The zero value is usable: it listens on an
 // ephemeral loopback port with small defaults.
@@ -105,11 +124,6 @@ type Config struct {
 	// slots; beyond it PUT replies -BUSY (ErrExhausted backpressure).
 	ArenaCapacity uint64
 
-	// MaxValLen caps one value's byte length on the wire (default 1 MiB,
-	// hard-capped at vals.MaxLen). An oversized PUT/SETEX body is
-	// consumed and answered with -ERR.
-	MaxValLen int
-
 	// QueueDepth bounds each shard's admitted requests - those waiting
 	// for or running on one of its handles (default 4 * the shard's
 	// handle count, with a floor of one MaxPipeline window so a single
@@ -124,9 +138,6 @@ type Config struct {
 	// connection (default 64). The pipeline is a fixed ring of reply
 	// slots, so it also bounds per-connection memory.
 	MaxPipeline int
-
-	// ScanLimit caps entries returned by one SCAN (default 4096).
-	ScanLimit int
 
 	// SnapLeases sizes the snapshot-lease pool shared by MGET and
 	// SNAPSCAN (default 64): how many leased point-in-time reads may be
@@ -171,11 +182,6 @@ type Config struct {
 	// server.disconn.idle). Zero — the default, and what tests use —
 	// never arms a read deadline.
 	IdleTimeout time.Duration
-
-	// DrainGrace bounds how long a graceful Close waits for connection
-	// writers to flush in-flight pipelined replies before hard-closing
-	// the sockets (default 1s).
-	DrainGrace time.Duration
 
 	// ReplLogCap bounds each primary shard's unacked replication window;
 	// a full log sheds writes with -BUSY before applying them (default
@@ -224,12 +230,6 @@ func (c *Config) withDefaults() Config {
 	if cfg.ExpectedKeys <= 0 {
 		cfg.ExpectedKeys = 1 << 16
 	}
-	if cfg.MaxValLen <= 0 {
-		cfg.MaxValLen = 1 << 20
-	}
-	if cfg.MaxValLen > vals.MaxLen {
-		cfg.MaxValLen = vals.MaxLen
-	}
 	if cfg.MaxPipeline <= 0 {
 		cfg.MaxPipeline = 64
 	}
@@ -240,14 +240,8 @@ func (c *Config) withDefaults() Config {
 			cfg.QueueDepth = cfg.MaxPipeline
 		}
 	}
-	if cfg.ScanLimit <= 0 {
-		cfg.ScanLimit = 4096
-	}
 	if cfg.SnapLeases <= 0 {
 		cfg.SnapLeases = snaplease.DefaultLeases
-	}
-	if cfg.DrainGrace <= 0 {
-		cfg.DrainGrace = time.Second
 	}
 	if cfg.ReplLogCap <= 0 {
 		cfg.ReplLogCap = 4096
@@ -859,13 +853,13 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 		if uint64(br.Buffered()) <= vlen {
 			p.flush() // the body and its LF are not all buffered: the read can block
 		}
-		if vlen > uint64(s.cfg.MaxValLen) {
+		if vlen > uint64(maxValLen) {
 			if err := discardBody(br, int(vlen)); err != nil {
 				sl.buf = appendErr(sl.buf[:0], "bad value body")
 				p.local(sl)
 				return false, false
 			}
-			sl.buf = appendErr(sl.buf[:0], "value too large (%d > %d)", vlen, s.cfg.MaxValLen)
+			sl.buf = appendErr(sl.buf[:0], "value too large (%d > %d)", vlen, maxValLen)
 			p.local(sl)
 			return false, true
 		}
@@ -1064,8 +1058,8 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 		}
 		sl.op = opScan
 		sl.limit = int(lim64)
-		if sl.limit <= 0 || sl.limit > s.cfg.ScanLimit {
-			sl.limit = s.cfg.ScanLimit
+		if sl.limit <= 0 || sl.limit > scanLimit {
+			sl.limit = scanLimit
 		}
 		p.fanout(sl)
 	case vSnapScan:
@@ -1085,8 +1079,8 @@ func (s *Server) dispatch(c net.Conn, br *bufio.Reader, p *connPipe, sl *slot, f
 		}
 		sl.op = opSnapScan
 		sl.limit = int(lim64)
-		if sl.limit <= 0 || sl.limit > s.cfg.ScanLimit {
-			sl.limit = s.cfg.ScanLimit
+		if sl.limit <= 0 || sl.limit > scanLimit {
+			sl.limit = scanLimit
 		}
 		lease, ok := s.leases.Acquire(0)
 		if !ok {
@@ -1382,7 +1376,7 @@ func (s *Server) exec(h *collections.MapHandle, procID, shard int, sl *slot) {
 // each connection's read half is poisoned (a zero read deadline) while
 // its socket stays open, so the reader stops claiming slots but the
 // writer flushes a reply — or -BUSY — for every ring entry already
-// issued, bounded by DrainGrace against peers that stop reading. After
+// issued, bounded by drainGrace against peers that stop reading. After
 // the conns, every handle is back in its pool: detach them all, replay
 // any replication-log backlog to the replicas, clear every shard, and run
 // adoption/flush rounds until Live() == 0. The drain rounds matter
@@ -1424,7 +1418,7 @@ func (s *Server) shutdown(graceful bool) error {
 			}()
 			select {
 			case <-drained:
-			case <-time.After(s.cfg.DrainGrace):
+			case <-time.After(drainGrace):
 				for _, c := range conns {
 					c.Close()
 				}

@@ -227,17 +227,20 @@ func TestMGetSnapScanConsistentUnderWrites(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		bo := Backoff{Seed: 9}
+		put := func(k, v uint64) error {
+			return RetryBusy(bo, func() error { _, _, err := w.Put(k, tb(v)); return err })
+		}
 		for v := uint64(1); ; v++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if _, _, err := w.DoPutRetry(ka, tb(v), bo); err != nil {
+			if err := put(ka, v); err != nil {
 				writerErr.Store(err)
 				return
 			}
-			if _, _, err := w.DoPutRetry(kb, tb(v), bo); err != nil {
+			if err := put(kb, v); err != nil {
 				writerErr.Store(err)
 				return
 			}
