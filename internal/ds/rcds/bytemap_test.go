@@ -65,50 +65,54 @@ func checkByteQuiescence(t *testing.T, h *HashTable) {
 }
 
 func TestByteMapSequential(t *testing.T) {
-	h := newMapTable(t, 64, 2)
-	m := h.AttachMap()
+	// Map tables are versioned, and versioned tables always run in
+	// snapshot mode; the subtest keeps the mode in its name.
+	t.Run("snapshots=true", func(t *testing.T) {
+		h := newMapTable(t, 64, 2)
+		m := h.AttachMap()
 
-	if _, found := m.GetB(1, nil); found {
-		t.Fatal("phantom key")
-	}
-	v1 := bval(1, 1, 9000)
-	if _, existed, err := m.PutB(1, v1, nil); existed || err != nil {
-		t.Fatalf("fresh PutB: existed=%v err=%v", existed, err)
-	}
-	got, found := m.GetB(1, nil)
-	if !found || !bytes.Equal(got, v1) {
-		t.Fatalf("GetB after put: found=%v len=%d want %d", found, len(got), len(v1))
-	}
-	// Replace returns the displaced bytes; sizes cross classes.
-	v2 := bval(1, 2, 100)
-	old, existed, err := m.PutB(1, v2, nil)
-	if err != nil || !existed || !bytes.Equal(old, v1) {
-		t.Fatalf("replace: existed=%v err=%v oldlen=%d", existed, err, len(old))
-	}
-	// Empty value is legal and distinct from absent.
-	if _, _, err := m.PutB(2, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, found = m.GetB(2, nil)
-	if !found || len(got) != 0 {
-		t.Fatalf("empty value: found=%v len=%d", found, len(got))
-	}
-	// dst append semantics.
-	pre := []byte("prefix:")
-	got, _ = m.GetB(1, pre)
-	if !bytes.HasPrefix(got, pre) || !bytes.Equal(got[len(pre):], v2) {
-		t.Fatal("GetB must append to dst")
-	}
-	for _, k := range []uint64{1, 2} {
-		if hit, err := m.DeleteV(k); !hit || err != nil {
-			t.Fatalf("DeleteV(%d): hit=%v err=%v", k, hit, err)
+		if _, found := m.GetB(1, nil); found {
+			t.Fatal("phantom key")
 		}
-	}
-	if _, found := m.GetB(1, nil); found {
-		t.Fatal("deleted key still found")
-	}
-	m.Detach()
-	checkByteQuiescence(t, h)
+		v1 := bval(1, 1, 9000)
+		if _, existed, err := m.PutB(1, v1, nil); existed || err != nil {
+			t.Fatalf("fresh PutB: existed=%v err=%v", existed, err)
+		}
+		got, found := m.GetB(1, nil)
+		if !found || !bytes.Equal(got, v1) {
+			t.Fatalf("GetB after put: found=%v len=%d want %d", found, len(got), len(v1))
+		}
+		// Replace returns the displaced bytes; sizes cross classes.
+		v2 := bval(1, 2, 100)
+		old, existed, err := m.PutB(1, v2, nil)
+		if err != nil || !existed || !bytes.Equal(old, v1) {
+			t.Fatalf("replace: existed=%v err=%v oldlen=%d", existed, err, len(old))
+		}
+		// Empty value is legal and distinct from absent.
+		if _, _, err := m.PutB(2, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		got, found = m.GetB(2, nil)
+		if !found || len(got) != 0 {
+			t.Fatalf("empty value: found=%v len=%d", found, len(got))
+		}
+		// dst append semantics.
+		pre := []byte("prefix:")
+		got, _ = m.GetB(1, pre)
+		if !bytes.HasPrefix(got, pre) || !bytes.Equal(got[len(pre):], v2) {
+			t.Fatal("GetB must append to dst")
+		}
+		for _, k := range []uint64{1, 2} {
+			if hit, err := m.DeleteV(k); !hit || err != nil {
+				t.Fatalf("DeleteV(%d): hit=%v err=%v", k, hit, err)
+			}
+		}
+		if _, found := m.GetB(1, nil); found {
+			t.Fatal("deleted key still found")
+		}
+		m.Detach()
+		checkByteQuiescence(t, h)
+	})
 }
 
 func TestByteMapScan(t *testing.T) {
